@@ -4,9 +4,10 @@ PoisonRec's wall-clock is dominated by environment queries (reload →
 poison-retrain → re-score), so this bench measures queries/sec through
 the NeuMF testbed three ways:
 
-* ``serial`` — plain ``system.attack`` calls in-process, with a
-  :class:`~repro.perf.QueryProfiler` attached to split each query into
-  its restore / merge / retrain / score phases;
+* ``serial`` — plain ``system.attack`` calls in-process, inside a
+  :func:`~repro.obs.collect_spans` scope whose restore / merge /
+  retrain / score spans give the per-query phase breakdown (the same
+  spans ``repro trace`` renders);
 * ``pooled`` — the same batch through a :class:`~repro.perf.QueryPool`
   of forked replicas (``min(4, cpu_count)`` workers by default;
   ``REPRO_BENCH_WORKERS`` overrides the count, e.g. to force a
@@ -30,7 +31,8 @@ import numpy as np
 
 from common import emit, emit_json
 from repro.experiments import build_environment, format_table, resolve_scale
-from repro.perf import QueryPool, QueryProfiler
+from repro.obs import collect_spans, phase_rollup
+from repro.perf import QueryPool
 
 TRAJECTORY_LENGTH = 8
 NUM_ATTACKERS = 4
@@ -47,14 +49,15 @@ def sample_trajectory_sets(env, count, seed=0):
     ]
 
 
-def run_serial(system, env, batch):
-    profiler = QueryProfiler()
-    system.profiler = profiler
+def run_serial(env, batch):
     start = time.perf_counter()
-    rewards = [float(env.attack(trajectories)) for trajectories in batch]
+    with collect_spans() as scope:
+        rewards = [float(env.attack(trajectories)) for trajectories in batch]
     elapsed = time.perf_counter() - start
-    system.profiler = None
-    return rewards, elapsed, profiler.summary()
+    phases = {name: dict(entry, mean_seconds=entry["seconds"]
+                         / entry["calls"])
+              for name, entry in sorted(phase_rollup(scope.spans).items())}
+    return rewards, elapsed, phases
 
 
 def run_pooled(env, batch, workers):
@@ -62,7 +65,8 @@ def run_pooled(env, batch, workers):
         start = time.perf_counter()
         outcomes = pool.attack_many(batch)
         elapsed = time.perf_counter() - start
-        mode = "parallel" if pool.parallel and not pool.broken else "serial"
+        mode = ("parallel" if pool.parallel and not pool.serial_fallbacks
+                else "serial")
     return [o.reward for o in outcomes], elapsed, mode
 
 
@@ -73,10 +77,10 @@ def test_query_throughput(benchmark):
     workers = (int(os.environ.get("REPRO_BENCH_WORKERS", "0"))
                or min(4, os.cpu_count() or 1))
 
-    _, system, env = build_environment("steam", "neumf", scale, seed=0)
+    _, _, env = build_environment("steam", "neumf", scale, seed=0)
     batch = sample_trajectory_sets(env, count)
 
-    serial_rewards, serial_s, phases = run_serial(system, env, batch)
+    serial_rewards, serial_s, phases = run_serial(env, batch)
     pooled_rewards, pooled_s, mode = run_pooled(env, batch, workers)
 
     assert pooled_rewards == serial_rewards, (
@@ -95,8 +99,8 @@ def test_query_throughput(benchmark):
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "pool_mode": mode,
-        "serial_seconds": serial_s,
-        "pooled_seconds": pooled_s,
+        "serial_wall_seconds": serial_s,
+        "pooled_wall_seconds": pooled_s,
         "serial_qps": serial_qps,
         "pooled_qps": pooled_qps,
         "speedup": pooled_qps / serial_qps,

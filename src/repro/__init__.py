@@ -17,7 +17,7 @@ from .core import (PoisonRec, PoisonRecConfig, TrainResult, build_bcbt,
 from .data import Dataset, InteractionLog, load_dataset
 from .obs import (MetricsRegistry, RunTelemetry, Tracer, load_run,
                   phase_rollup, write_chrome_trace)
-from .perf import QueryPool, QueryProfiler
+from .perf import QueryPool
 from .recsys import (RANKER_NAMES, BlackBoxEnvironment, RecommenderSystem,
                      make_ranker)
 from .runtime import (FaultPlan, FaultyEnvironment, ResilienceConfig,
@@ -32,7 +32,7 @@ __all__ = [
     "RANKER_NAMES", "BlackBoxEnvironment", "RecommenderSystem", "make_ranker",
     "FaultPlan", "FaultyEnvironment", "ResilienceConfig",
     "load_campaign", "save_campaign",
-    "QueryPool", "QueryProfiler",
+    "QueryPool",
     "MetricsRegistry", "RunTelemetry", "Tracer", "load_run",
     "phase_rollup", "write_chrome_trace",
     "__version__",

@@ -247,13 +247,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         obs = RunTelemetry(args.obs_log) if args.obs_log else None
         pool = None
         if args.workers > 1:
-            pool = QueryPool(attack_env, workers=args.workers)
+            pool = QueryPool(attack_env, workers=args.workers, obs=obs)
             mode = "parallel" if pool.parallel else "serial fallback"
             print(f"query pool: {args.workers} workers ({mode})")
-            if obs is not None:
-                # Parent-side only: workers fork before these attach.
-                pool.tracer = obs.tracer
-                pool.metrics = obs.metrics
         agent = PoisonRec(attack_env, scale.config(seed=args.seed),
                           action_space=args.action_space, query_pool=pool,
                           obs=obs)
@@ -370,7 +366,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         worker_chaos = WorkerFaultPlan(kill_rate=args.worker_kills,
                                        stall_rate=args.worker_stalls,
                                        seed=args.seed)
-    obs = RunTelemetry(args.obs_log) if args.obs_log else None
+    # Always on: the phase summary below reads the metrics registry.
+    # Spans go to the log (when there is one), never pile up in memory.
+    obs = RunTelemetry(args.obs_log)
+    obs.tracer.retain = False
     scheduler = CampaignScheduler(
         args.dir, workers=args.workers, slice_steps=args.slice_steps,
         stall_timeout=args.stall_timeout, worker_chaos=worker_chaos,
@@ -394,15 +393,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         result = scheduler.run(handle_signals=True)
     finally:
-        if obs is not None:
-            obs.close()
+        obs.close()
     if args.obs_log:
         print(f"obs run log: {args.obs_log} (render with "
               f"repro trace / repro metrics)")
     print(scheduler.telemetry.render_table(result.records))
     totals = scheduler.telemetry.phase_totals()
     if totals:
-        print("query phases (parent-side): " + "  ".join(
+        print("query phases: " + "  ".join(
             f"{phase}={seconds:.2f}s"
             for phase, seconds in sorted(totals.items())))
     if result.pool_crashes or result.serial_fallbacks:

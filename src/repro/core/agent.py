@@ -22,33 +22,30 @@ changing a single observed number (see :mod:`repro.perf`).
 
 Attaching a :class:`~repro.obs.run.RunTelemetry` to :attr:`PoisonRec.obs`
 traces the hot path (``train_step`` → ``sample`` / ``query_batch`` /
-``ppo_update``, with per-query phase spans reconstructed from the
-timings each :class:`~repro.perf.pool.QueryOutcome` carries — pooled or
-serial) and counts queries/retries/quarantines in the metrics registry.
-Tracing reads the monotonic clock only, so an instrumented campaign's
-``TrainResult.history`` is bit-identical to the untraced run.
+``ppo_update``, with each query's ``query`` → restore / merge / retrain
+/ score spans added at the times they were measured, in-process or in a
+pool worker) and counts queries/retries/quarantines and phase seconds
+in the metrics registry.  Tracing reads the monotonic clock only, so an
+instrumented campaign's ``TrainResult.history`` is bit-identical to the
+untraced run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..effects import sanctioned_channel
 from ..nn.anomaly import AnomalyError, detect_anomaly
-from ..perf.pool import QueryOutcome, QueryPool
-from ..perf.profile import PhaseDelta, find_profiler
+from ..perf.pool import QueryOutcome, QueryPool, serial_outcome
 from ..recsys.system import BlackBoxEnvironment
 from ..runtime.checkpoint import PathLike, load_campaign, save_campaign
-from ..runtime.errors import (CampaignDivergenceError, CorruptRewardError,
-                              RetriesExhaustedError)
+from ..runtime.errors import CampaignDivergenceError
 from ..runtime.resilience import CampaignState, ResilienceConfig
-from ..runtime.retry import call_with_retry
 from ..runtime.watchdog import RunningMoments
 from .action_space import ActionSpace, make_action_space
 from .config import PoisonRecConfig
@@ -238,28 +235,6 @@ class PoisonRec:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _query(self, trajectories: List[List[int]],
-               state: Optional[CampaignState]) -> Tuple[float, int]:
-        """One black-box reward query; returns ``(reward, retries)``.
-
-        With resilience enabled the query runs under the retry policy
-        and non-finite RecNum readings are rejected as
-        :class:`CorruptRewardError` (and therefore retried).
-        """
-        if state is None:
-            return float(self.env.attack(trajectories)), 0
-
-        def attempt() -> float:
-            reward = float(self.env.attack(trajectories))
-            if not np.isfinite(reward):
-                raise CorruptRewardError(
-                    f"environment returned non-finite RecNum {reward!r}")
-            return reward
-
-        outcome = call_with_retry(attempt, state.config.retry, rng=state.rng,
-                                  sleep=state.config.sleep)
-        return outcome.value, outcome.retries
-
     def _query_batch(self, rollouts: List[Rollout],
                      state: Optional[CampaignState]) -> List[QueryOutcome]:
         """Observe one reward per rollout, serially or through the pool.
@@ -268,50 +243,36 @@ class PoisonRec:
         restores its full clean state — parameters and RNG — before each
         one), so batching them after sampling is bit-identical to the
         historical sample-query interleaving: sampling consumes only the
-        agent RNG and querying consumes none.
+        agent RNG and querying consumes none.  With resilience enabled
+        every query runs under the retry policy, non-finite RecNum
+        readings count as retryable faults, and exhausted retries come
+        back as quarantined outcomes.
         """
+        sets = [rollout.trajectories() for rollout in rollouts]
+        retry, rng, sleep = ((state.config.retry, state.rng,
+                              state.config.sleep) if state is not None
+                             else (None, None, None))
         if self.query_pool is not None:
-            return self.query_pool.attack_many(
-                [rollout.trajectories() for rollout in rollouts],
-                retry=state.config.retry if state is not None else None,
-                rng=state.rng if state is not None else None,
-                sleep=state.config.sleep if state is not None else None)
-        observing = self._obs is not None
-        profiler = find_profiler(self.env) if observing else None
-        outcomes: List[QueryOutcome] = []
-        for rollout in rollouts:
-            delta = PhaseDelta(profiler) if observing else None
-            began = time.perf_counter() if observing else 0.0
-            try:
-                reward, attempts = self._query(rollout.trajectories(), state)
-            except RetriesExhaustedError as error:
-                outcome = QueryOutcome(
-                    reward=None, retries=max(error.attempts - 1, 0),
-                    error=error)
-            else:
-                outcome = QueryOutcome(reward=reward, retries=attempts)
-            if observing:
-                outcome.seconds = time.perf_counter() - began
-                outcome.phases, outcome.phase_calls = delta.delta()
-            outcomes.append(outcome)
-        return outcomes
+            return self.query_pool.attack_many(sets, retry=retry, rng=rng,
+                                               sleep=sleep)
+        return [serial_outcome(self.env.attack, trajectories, retry, rng,
+                               sleep, observe=self._obs is not None)
+                for trajectories in sets]
 
     def _record_queries(self, outcomes: List[QueryOutcome],
                         parent) -> None:
-        """Synthesize per-query spans from the timings outcomes carry.
+        """Count every outcome and add its spans under the batch span.
 
-        Pooled queries execute concurrently in forked workers, so their
-        true start times never reach the parent; the spans are laid out
-        *sequentially* from the batch span's start (durations exact,
-        placement approximate — flagged ``synthetic``).  Each query span
-        nests the restore/merge/retrain/score phase spans the worker (or
-        the serial path) measured.  Metrics count every outcome either
-        way.
+        Each outcome's spans were measured where the query ran — in
+        this process or in a forked pool worker, on the same monotonic
+        clock — so they are added at their true times.  Every phase
+        (a direct child of the ``query`` span) also feeds the
+        ``agent.phase_seconds`` histogram.
         """
         if self._obs is None:
             return
         metrics = self._obs.metrics
-        for outcome in outcomes:
+        for index, outcome in enumerate(outcomes):
             metrics.counter("agent.queries", **self.obs_attrs).inc()
             if outcome.retries:
                 metrics.counter("agent.retries",
@@ -319,25 +280,16 @@ class PoisonRec:
             if outcome.reward is None:
                 metrics.counter("agent.quarantined",
                                 **self.obs_attrs).inc()
-        if parent is None:
-            return
-        tracer = self._obs.tracer
-        cursor = parent.start
-        for i, outcome in enumerate(outcomes):
-            if outcome.seconds is None:
+            if not outcome.spans:
                 continue
-            query = tracer.add(
-                "query", cursor, cursor + outcome.seconds,
-                parent_id=parent.span_id, index=i, synthetic=True,
-                pooled=outcome.pooled, **self.obs_attrs)
-            offset = cursor
-            for phase, seconds in (outcome.phases or {}).items():
-                tracer.add(phase, offset, offset + seconds,
-                           parent_id=query.span_id, synthetic=True)
-                metrics.histogram("agent.phase_seconds",
-                                  phase=phase).observe(seconds)
-                offset += seconds
-            cursor += outcome.seconds
+            root = outcome.spans[-1]
+            for span in outcome.spans:
+                if span.parent_id == root.span_id:
+                    metrics.histogram("agent.phase_seconds", phase=span.name,
+                                      **self.obs_attrs).observe(span.seconds)
+            self._obs.tracer.adopt(outcome.spans, parent_id=parent.span_id,
+                                   index=index, pooled=outcome.pooled,
+                                   **self.obs_attrs)
 
     def train_step(self) -> StepStats:
         """One iteration of Algorithm 1's outer loop."""
@@ -477,7 +429,8 @@ class PoisonRec:
     # ------------------------------------------------------------------
     def evaluate(self, num_samples: int = 4) -> float:
         """Mean RecNum of attacks sampled from the current policy."""
-        rewards = [self._query(self.sample_attack().trajectories(), None)[0]
+        rewards = [serial_outcome(self.env.attack,
+                                  self.sample_attack().trajectories()).reward
                    for _ in range(num_samples)]
         return float(np.mean(rewards))
 

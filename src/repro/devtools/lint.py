@@ -531,7 +531,7 @@ class RawEnvironmentQueryRule(Rule):
                     yield ctx.diag(
                         child, self.id,
                         "raw environment query — route it through "
-                        "call_with_retry (see PoisonRec._query)")
+                        "call_with_retry (see perf.pool.serial_outcome)")
                 yield from walk(child, child_ok)
 
         yield from walk(ctx.tree, False)

@@ -5,8 +5,10 @@ The observability substrate for the attack/serve stack:
 * :class:`Tracer`/:class:`Span` — deterministic span tracing
   (sequential ids, monotonic clock only; provably no bit-exactness
   impact) over the attack hot path, PPO updates, scheduler slices and
-  pool dispatch, including phase spans shipped back from forked
-  :class:`~repro.perf.pool.QueryPool` workers.
+  pool dispatch.  :func:`collect_spans` opens a per-query scope that
+  :func:`traced` records the restore / merge / retrain / score phases
+  into, in-process or in a forked
+  :class:`~repro.perf.pool.QueryPool` worker.
 * :class:`MetricsRegistry` — labeled counters/gauges/histograms
   (queries, retries, quarantines, restarts, tier changes, per-phase
   latency).
@@ -25,11 +27,13 @@ from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry)
 from .run import (OBS_FORMAT, OBS_VERSION, RunReplay, RunTelemetry,
                   load_run, phase_rollup)
-from .trace import Span, Tracer
+from .trace import Span, Tracer, collect_spans, traced
 
 __all__ = [
     "Span",
     "Tracer",
+    "collect_spans",
+    "traced",
     "Counter",
     "Gauge",
     "Histogram",

@@ -13,22 +13,29 @@ Two ways to record a span:
 * :meth:`Tracer.span` — a context manager timing the enclosed block,
   with automatic parenting (the innermost open span on this tracer's
   stack becomes the parent).
-* :meth:`Tracer.add` — register an *externally measured* interval, e.g.
-  phase timings shipped back from a forked
-  :class:`~repro.perf.pool.QueryPool` worker, parented wherever the
-  caller says.
+* :meth:`Tracer.add` — register an *externally measured* interval,
+  parented wherever the caller says; :meth:`Tracer.adopt` re-records a
+  whole tree closed in another tracer (a query's collecting scope,
+  possibly in a forked :class:`~repro.perf.pool.QueryPool` worker).
 
 Closed spans are retained in :attr:`Tracer.spans` (for in-process
 rollups) and streamed to an optional ``sink`` callable (the
 :class:`~repro.obs.run.RunTelemetry` JSONL writer).
+
+Code deep in the query path (the recommender's restore / merge /
+retrain / score phases) records with :func:`traced`, which opens a span
+in the innermost :func:`collect_spans` scope of the calling context and
+is a no-op outside one — so ``attack(trajectories)`` keeps its
+signature and no wrapper has to forward a tracer.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..effects import pure
 
@@ -158,10 +165,10 @@ class Tracer:
             proc: Optional[str] = None, **attrs: Any) -> Span:
         """Record one externally measured, already-closed span.
 
-        Used for intervals timed elsewhere — worker-side attack phases
-        shipped back with a :class:`~repro.perf.pool.QueryOutcome`, or
-        rollups reconstructed from durations.  ``parent_id=None``
-        parents under the innermost open span (if any).
+        Used for intervals timed elsewhere — e.g. a query's spans
+        shipped back with a :class:`~repro.perf.pool.QueryOutcome`
+        (see :meth:`adopt`).  ``parent_id=None`` parents under the
+        innermost open span (if any).
         """
         if parent_id is None and self._stack:
             parent_id = self._stack[-1].span_id
@@ -172,6 +179,58 @@ class Tracer:
         self._finish(span)
         return span
 
+    def adopt(self, spans: Sequence[Span], parent_id: Optional[int] = None,
+              **attrs: Any) -> None:
+        """Re-record a span tree closed in another tracer, with fresh ids.
+
+        Every span keeps its measured interval and process label — a
+        forked worker's ``perf_counter`` is the same monotonic clock, so
+        no re-basing is needed.  Roots parent under ``parent_id`` (see
+        :meth:`add`) and receive ``attrs``; inner links follow the tree.
+        """
+        ids: Dict[int, int] = {}
+        for span in sorted(spans, key=lambda span: span.span_id):
+            if span.parent_id in ids:
+                parent, extra = ids[span.parent_id], {}
+            else:
+                parent, extra = parent_id, attrs
+            added = self.add(span.name, span.start, span.end,
+                             parent_id=parent, proc=span.proc,
+                             **{**span.attrs, **extra})
+            ids[span.span_id] = added.span_id
+
     def __repr__(self) -> str:
         return (f"Tracer(spans={len(self.spans)}, "
                 f"open={len(self._stack)})")
+
+
+#: The tracer of the innermost open :func:`collect_spans` scope.
+_SCOPE: ContextVar[Optional[Tracer]] = ContextVar("repro_obs_scope",
+                                                  default=None)
+
+
+@contextmanager
+def collect_spans(proc: str = "main") -> Iterator[Tracer]:
+    """Collect the :func:`traced` spans opened inside the block.
+
+    Yields a fresh sink-less :class:`Tracer` that is the current scope
+    until the block exits (the enclosing scope, if any, is restored).
+    Query executors open one around each query and return its closed
+    spans with the :class:`~repro.perf.pool.QueryOutcome`; in a forked
+    worker the scope is the worker's own object, never the parent's
+    :class:`~repro.obs.run.RunTelemetry` and its log file.
+    """
+    tracer = Tracer(proc=proc)
+    token = _SCOPE.set(tracer)
+    try:
+        yield tracer
+    finally:
+        _SCOPE.reset(token)
+
+
+def traced(name: str, **attrs: Any):
+    """A span in the current :func:`collect_spans` scope, else a no-op."""
+    tracer = _SCOPE.get()
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, **attrs)

@@ -1,18 +1,15 @@
-"""Performance subsystem: parallel query engine + attack-path profiling.
+"""Performance subsystem: the parallel query engine.
 
 ``repro.perf`` makes the black-box query loop fast without changing a
 single observed reward:
 
 * :class:`QueryPool` — fan per-step queries out over forked
   recommender-system replicas, with a documented bit-exact equivalence
-  guarantee versus serial execution and transient-failure healing for
-  crashed workers.
-* :class:`QueryProfiler` — per-query wall-clock breakdown of the
-  restore / merge / retrain / score phases inside
-  :meth:`~repro.recsys.system.RecommenderSystem.attack`.  Workers ship
-  their per-query phase deltas back with each
-  :class:`QueryOutcome`, so the breakdown covers pooled queries too
-  (see :func:`find_profiler` / :class:`PhaseDelta`).
+  guarantee versus serial execution, transient-failure healing for
+  crashed workers, and one-way pooled → reduced → serial tiers.  Every
+  :class:`QueryOutcome` can carry the query's spans (restore / merge /
+  retrain / score under a ``query`` root), measured wherever the query
+  ran — see :func:`repro.obs.collect_spans`.
 
 See ``docs/performance.md`` for the measurement methodology,
 ``docs/observability.md`` for the tracing/metrics hooks, and
@@ -20,13 +17,9 @@ See ``docs/performance.md`` for the measurement methodology,
 """
 
 from .pool import QueryOutcome, QueryPool, WorkerCrashError
-from .profile import PhaseDelta, QueryProfiler, find_profiler
 
 __all__ = [
     "QueryPool",
     "QueryOutcome",
     "WorkerCrashError",
-    "QueryProfiler",
-    "PhaseDelta",
-    "find_profiler",
 ]

@@ -39,8 +39,18 @@ failures raised inside a worker honor the caller's
 :class:`~repro.runtime.retry.RetryPolicy` — exhausted retries become a
 quarantinable :class:`~repro.runtime.errors.RetriesExhaustedError`
 outcome, mirroring ``repro.runtime``'s serial retry/quarantine path.
-If worker processes cannot be (re)spawned at all, the pool degrades
-permanently to serial mode rather than failing the campaign.
+If worker processes cannot be (re)spawned at all, the rest of the batch
+runs in-process rather than failing the campaign.
+
+Tiers
+-----
+The pool owns its execution tier, one way down: ``pooled`` (all
+workers), ``reduced`` (halved) and ``serial`` (in-process, no workers).
+After every batch it checks itself: a pool that could not spawn
+(:attr:`QueryPool.broken`) or that lost :data:`CRASH_STORM` or more
+workers since the last check halves its workers, and below two it goes
+serial for good.  Results are identical in every tier (the equivalence
+guarantee); only throughput changes.
 
 Three refinements keep pooled chaos campaigns bit-identical to serial:
 
@@ -64,18 +74,16 @@ injection for soak tests, exercising exactly the healing paths above.
 
 Observability
 -------------
-Every worker reply carries a *phase payload*: the per-phase profiler
-deltas (when a :class:`~repro.perf.profile.QueryProfiler` is attached
-to the replica's system) and the query's total wall-clock seconds,
-measured inside the worker.  The parent merges the deltas into its own
-profiler — so parent-side rollups finally cover pooled queries — and
-attaches them to the :class:`QueryOutcome` (``phases`` /
-``phase_calls`` / ``seconds`` / ``pooled``).  Hanging a
-:class:`~repro.obs.trace.Tracer` on :attr:`QueryPool.tracer` wraps each
-batch in a ``pool.batch`` span, and a
-:class:`~repro.obs.metrics.MetricsRegistry` on :attr:`QueryPool.metrics`
-counts queries, crashes, stalls and serial fallbacks; both are optional
-parent-side attachments, never shipped to workers.
+Every worker runs each query as a ``query`` span inside its own
+:func:`~repro.obs.trace.collect_spans` scope, so the recommender's
+restore / merge / retrain / score phases nest under it, and ships the
+closed spans back with the reply; in-process queries do the same when
+the pool has telemetry.  The spans ride on the :class:`QueryOutcome`
+for the caller to add to its trace.  The pool's own counts (queries,
+busy seconds, crashes, stalls, serial fallbacks) live in one
+:class:`~repro.obs.metrics.MetricsRegistry` — the ``obs`` run's when
+one is given, a private one otherwise — and ``obs`` also wraps each
+batch in a ``pool.batch`` span.  Both stay in the parent.
 """
 
 from __future__ import annotations
@@ -87,18 +95,22 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..obs.metrics import MetricsRegistry
+from ..obs.trace import Span, collect_spans
 from ..runtime.errors import (CorruptRewardError, RetriesExhaustedError,
                               TransientEnvironmentError)
 from ..runtime.faults import WorkerFaultPlan
 from ..runtime.retry import RetryPolicy, call_with_retry
-from .profile import PhaseDelta, find_profiler
 
 #: How long one scheduler wait blocks before re-checking worker liveness.
 _WAIT_TIMEOUT = 5.0
+
+#: Worker deaths between two tier checks that make a crash storm.
+CRASH_STORM = 8
 
 
 class WorkerCrashError(TransientEnvironmentError):
@@ -115,42 +127,72 @@ class QueryOutcome:
     counts transient failures absorbed on the way — including worker
     crashes healed by the pool.
 
-    The observability fields describe the *final* attempt: ``seconds``
-    is its wall-clock duration (measured inside the worker for pooled
-    queries), ``phases``/``phase_calls`` its per-phase profiler deltas
-    (``None`` when no profiler is attached or timing is off), and
-    ``pooled`` says whether a forked worker executed it.
+    ``spans`` are the closed spans of the query, its ``query`` root
+    last (``None`` when it ran untimed), and ``pooled`` says whether a
+    forked worker executed it.  For a pooled query they cover the final
+    attempt, for an in-process one every attempt.
     """
 
     reward: Optional[float]
     retries: int = 0
     error: Optional[Exception] = None
-    phases: Optional[Dict[str, float]] = None
-    phase_calls: Optional[Dict[str, int]] = None
-    seconds: Optional[float] = None
+    spans: Optional[List[Span]] = None
     pooled: bool = False
 
+    @property
+    def seconds(self) -> Optional[float]:
+        """Wall-clock seconds of the ``query`` span (``None`` untimed)."""
+        return self.spans[-1].seconds if self.spans else None
 
-def _phase_payload(delta: PhaseDelta, began: float):
-    """One reply's phase payload: ``(phase_seconds, phase_calls, total)``.
 
-    ``began`` is the ``perf_counter`` reading taken just before the
-    attack; the total is read *first* so the delta bookkeeping (dict
-    copies) never inflates it.  The phase dicts are ``None`` when no
-    profiler is attached.
+def serial_outcome(attack: Callable, trajectories,
+                   retry: Optional[RetryPolicy] = None, rng=None,
+                   sleep: Optional[Callable[[float], None]] = None,
+                   base_retries: int = 0,
+                   observe: bool = False) -> QueryOutcome:
+    """Run one query in-process under the caller's retry policy.
+
+    With ``observe`` the query runs as a ``query`` span in its own
+    collecting scope, and the outcome carries the closed spans exactly
+    as a worker reply does.
     """
-    total = time.perf_counter() - began
-    seconds, calls = delta.delta()
-    return seconds, calls, total
+    def attempt() -> float:
+        reward = float(attack(trajectories))
+        if retry is not None and not np.isfinite(reward):
+            # A garbage RecNum reading is a retryable fault, not data.
+            raise CorruptRewardError(
+                f"environment returned non-finite RecNum {reward!r}")
+        return reward
+
+    def run() -> QueryOutcome:
+        if retry is None:
+            return QueryOutcome(reward=attempt(), retries=base_retries)
+        try:
+            outcome = call_with_retry(attempt, retry, rng=rng, sleep=sleep)
+        except RetriesExhaustedError as error:
+            return QueryOutcome(
+                reward=None,
+                retries=base_retries + max(error.attempts - 1, 0),
+                error=error)
+        return QueryOutcome(reward=outcome.value,
+                            retries=base_retries + outcome.retries)
+
+    if not observe:
+        return run()
+    with collect_spans() as scope, scope.span("query"):
+        outcome = run()
+    outcome.spans = scope.spans
+    return outcome
 
 
-def _worker_main(system, conn) -> None:
+def _worker_main(system, conn, slot: int) -> None:
     """Child-process loop: serve attack queries until the stop sentinel.
 
     Messages arrive as ``(index, trajectories, directive)`` and replies
-    go back as ``(index, reward, error, payload)``, where ``payload``
-    carries the query's worker-side timings (see :func:`_phase_payload`)
-    so the parent can account pooled wall-clock per phase.  On a query
+    go back as ``(index, reward, error, spans)``: each query runs as a
+    ``query`` span in a collecting scope the worker opens itself
+    (labeled ``worker-<slot>``), and the closed spans travel home so
+    the parent can trace and time pooled queries.  On a query
     failure the worker ships the error to the parent and exits — a
     worker never serves queries from a possibly corrupted replica; the
     parent forks a pristine replacement instead.  The exception is an
@@ -183,16 +225,16 @@ def _worker_main(system, conn) -> None:
                 os._exit(1)
             if directive[0] == "stall":
                 time.sleep(directive[1])
-        delta = PhaseDelta(find_profiler(system, trajectories))
-        began = time.perf_counter()
-        try:
-            reward = float(system.attack(trajectories))
-        except Exception as error:
-            conn.send((index, None, error, _phase_payload(delta, began)))
-            if getattr(error, "replica_safe", False):
-                continue
-            raise SystemExit(1)
-        conn.send((index, reward, None, _phase_payload(delta, began)))
+        with collect_spans(f"worker-{slot}") as scope:
+            try:
+                with scope.span("query"):
+                    reward = float(system.attack(trajectories))
+            except Exception as error:
+                conn.send((index, None, error, scope.spans))
+                if getattr(error, "replica_safe", False):
+                    continue
+                raise SystemExit(1)
+        conn.send((index, reward, None, scope.spans))
     conn.close()
 
 
@@ -206,8 +248,9 @@ class QueryPool:
         ``attack(trajectories) -> number`` method) to replicate.  The
         parent's instance is also the serial-fallback executor.
     workers:
-        Worker process count.  ``1`` runs everything in-process (no
-        multiprocessing at all); higher values fork that many replicas.
+        Worker process count at the ``pooled`` tier.  ``1`` runs
+        everything in-process (no multiprocessing at all); higher values
+        fork that many replicas.
     crash_retries:
         How many times one query may be re-issued after killing a worker
         before the pool executes it in-process to surface the real error.
@@ -221,12 +264,17 @@ class QueryPool:
         seeded worker kills and stalls per dispatched query, for soak
         tests of the healing paths.  Ignored in serial mode (there are
         no workers to kill).
+    obs:
+        Optional :class:`~repro.obs.run.RunTelemetry` of the run: the
+        pool counts into its metrics registry, traces ``pool.batch``
+        spans, and times in-process queries.  Never shipped to workers.
     """
 
     def __init__(self, system, workers: int = 1,
                  crash_retries: int = 3,
                  stall_timeout: Optional[float] = None,
-                 chaos: Optional[WorkerFaultPlan] = None) -> None:
+                 chaos: Optional[WorkerFaultPlan] = None,
+                 obs=None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if crash_retries < 0:
@@ -238,34 +286,21 @@ class QueryPool:
         self.crash_retries = crash_retries
         self.stall_timeout = stall_timeout
         self.chaos = chaos
-        methods = multiprocessing.get_all_start_methods()
-        #: Whether this pool can actually parallelize.  Fork is required:
-        #: replicas are inherited copy-on-write, never pickled.
-        self.parallel = workers > 1 and "fork" in methods
-        self._ctx = (multiprocessing.get_context("fork")
-                     if self.parallel else None)
+        self.obs = obs
+        #: The one store of the pool's counts and busy seconds.
+        self.metrics = obs.metrics if obs is not None else MetricsRegistry()
+        # Fork is required: replicas are inherited copy-on-write, never
+        # pickled.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork") if fork else None
+        #: ``pooled``, ``reduced`` or ``serial`` (see the module doc).
+        self.tier = "pooled" if workers > 1 and fork else "serial"
         self._procs: List[Optional[object]] = [None] * workers
         self._conns: List[Optional[object]] = [None] * workers
         self._started = False
-        #: Worker deaths observed (crashes plus error-recycles).
-        self.crashes = 0
-        #: Queries that ended up executing in-process after the pool
-        #: could not serve them (crash loops, spawn failures).
-        self.serial_fallbacks = 0
-        #: Pool gave up on parallel execution for good (spawn failure).
+        #: No worker could be spawned; the batch ran in-process.
         self.broken = False
-        #: Worker-measured attack wall-clock absorbed from replies
-        #: (includes failed attempts; see ``_absorb``).
-        self.pooled_seconds = 0.0
-        #: Worker-executed attack attempts absorbed from replies.
-        self.pooled_queries = 0
-        #: Optional parent-side :class:`~repro.obs.trace.Tracer` — set
-        #: after construction, never shipped to workers.
-        self.tracer = None
-        #: Optional parent-side
-        #: :class:`~repro.obs.metrics.MetricsRegistry` for pool
-        #: counters; also never shipped to workers.
-        self.metrics = None
+        self._crashes_at_check = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -275,7 +310,7 @@ class QueryPool:
         try:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             proc = self._ctx.Process(target=_worker_main,
-                                     args=(self.system, child_conn),
+                                     args=(self.system, child_conn, slot),
                                      daemon=True)
             proc.start()
             child_conn.close()
@@ -287,6 +322,21 @@ class QueryPool:
         self._conns[slot] = parent_conn
         return True
 
+    @property
+    def parallel(self) -> bool:
+        """Whether batches fan out over worker processes."""
+        return self.tier != "serial"
+
+    @property
+    def crashes(self) -> int:
+        """Worker deaths observed (crashes, stalls and error-recycles)."""
+        return int(self.metrics.counter("pool.crashes").value)
+
+    @property
+    def serial_fallbacks(self) -> int:
+        """Queries the workers could not serve, run in-process instead."""
+        return int(self.metrics.counter("pool.serial_fallbacks").value)
+
     def _ensure_started(self) -> None:
         if self._started or not self.parallel or self.broken:
             return
@@ -294,6 +344,27 @@ class QueryPool:
         if spawned == 0:
             self.broken = True
         self._started = True
+
+    def _check_tier(self) -> None:
+        """Step one tier down after a spawn failure or a crash storm.
+
+        Halves the workers; below two the pool goes serial.  Never
+        moves back up: a fleet that proved unstable stays predictable.
+        """
+        storm = self.crashes - self._crashes_at_check >= CRASH_STORM
+        self._crashes_at_check = self.crashes
+        if not self.parallel or not (self.broken or storm):
+            return
+        self.close()
+        self.broken = False
+        self.workers //= 2
+        if self.workers < 2:
+            self.workers = 1
+            self.tier = "serial"
+        else:
+            self.tier = "reduced"
+        self._procs = [None] * self.workers
+        self._conns = [None] * self.workers
 
     def _recycle(self, slot: int, kill: bool = False) -> bool:
         """Reap a dead/poisoned worker and fork a replacement.
@@ -348,57 +419,18 @@ class QueryPool:
         """One in-process query (convenience; bypasses the workers)."""
         return float(self.system.attack(trajectories))
 
-    def _observing(self) -> bool:
-        """Whether anyone is consuming per-query timing fields."""
-        return self.tracer is not None or self.metrics is not None
-
     def _span(self, name: str, **attrs):
-        """A tracer span, or a no-op context when tracing is off."""
-        if self.tracer is None:
+        """A span on the run's tracer, or a no-op without telemetry."""
+        if self.obs is None:
             return nullcontext()
-        return self.tracer.span(name, **attrs)
+        return self.obs.span(name, **attrs)
 
     def _serial_outcome(self, trajectories, retry: Optional[RetryPolicy],
                         rng, sleep, base_retries: int = 0) -> QueryOutcome:
-        """Execute one query in-process under the caller's retry policy.
-
-        When observability is attached the outcome carries the query's
-        wall-clock seconds and per-phase profiler deltas, mirroring
-        what pooled replies ship back from workers.
-        """
-        def attempt() -> float:
-            reward = float(self.system.attack(trajectories))
-            if retry is not None and not np.isfinite(reward):
-                # Same guard PoisonRec applies on its serial path: a
-                # garbage RecNum reading is a retryable fault, not data.
-                raise CorruptRewardError(
-                    f"environment returned non-finite RecNum {reward!r}")
-            return reward
-
-        def timed(outcome: QueryOutcome, delta, began) -> QueryOutcome:
-            if delta is None:
-                return outcome
-            outcome.seconds = time.perf_counter() - began
-            outcome.phases, outcome.phase_calls = delta.delta()
-            return outcome
-
-        delta = began = None
-        if self._observing():
-            delta = PhaseDelta(find_profiler(self.system, trajectories))
-            began = time.perf_counter()
-        if retry is None:
-            return timed(QueryOutcome(reward=attempt(),
-                                      retries=base_retries), delta, began)
-        try:
-            outcome = call_with_retry(attempt, retry, rng=rng, sleep=sleep)
-        except RetriesExhaustedError as error:
-            return timed(QueryOutcome(
-                reward=None,
-                retries=base_retries + max(error.attempts - 1, 0),
-                error=error), delta, began)
-        return timed(QueryOutcome(reward=outcome.value,
-                                  retries=base_retries + outcome.retries),
-                     delta, began)
+        """One in-process query, timed when the pool has telemetry."""
+        return serial_outcome(self.system.attack, trajectories, retry, rng,
+                              sleep, base_retries=base_retries,
+                              observe=self.obs is not None)
 
     def attack_many(self, trajectory_sets: Sequence[Sequence[Sequence[int]]],
                     retry: Optional[RetryPolicy] = None,
@@ -412,7 +444,8 @@ class QueryPool:
         docstring for why).  ``retry``/``rng``/``sleep`` plug the
         caller's :mod:`repro.runtime` retry policy into transient worker
         failures; without a policy, transient errors propagate exactly
-        as they would serially.
+        as they would serially.  The pool checks its tier after every
+        batch (see the module docstring).
         """
         if not trajectory_sets:
             return []
@@ -420,14 +453,17 @@ class QueryPool:
         if not self.parallel or self.broken:
             with self._span("pool.batch", batch=len(trajectory_sets),
                             tier="serial"):
-                return [self._serial_outcome(trajectories, retry, rng,
-                                             sleep)
-                        for trajectories in trajectory_sets]
-        with self._span("pool.batch", batch=len(trajectory_sets),
-                        tier="pooled", workers=self.workers):
-            return self._attack_many_parallel(trajectory_sets, retry, rng,
-                                              sleep if sleep is not None
-                                              else time.sleep)
+                outcomes = [self._serial_outcome(trajectories, retry, rng,
+                                                 sleep)
+                            for trajectories in trajectory_sets]
+        else:
+            with self._span("pool.batch", batch=len(trajectory_sets),
+                            tier=self.tier, workers=self.workers):
+                outcomes = self._attack_many_parallel(
+                    trajectory_sets, retry, rng,
+                    sleep if sleep is not None else time.sleep)
+        self._check_tier()
+        return outcomes
 
     # ------------------------------------------------------------------
     def _attack_many_parallel(self, trajectory_sets, retry, rng,
@@ -547,10 +583,8 @@ class QueryPool:
                 for slot in list(busy):
                     if slot in deadlines and now >= deadlines[slot]:
                         index = drop(slot)
-                        self.crashes += 1
-                        if self.metrics is not None:
-                            self.metrics.counter("pool.stalls").inc()
-                        self._recycle(slot, kill=True)
+                        self.metrics.counter("pool.stalls").inc()
+                        self._handle_crash(slot, kill=True)
                         requeue_after_crash(index)
                 # Paranoia sweep: a worker that died without closing its
                 # pipe would otherwise hang the batch forever.
@@ -564,14 +598,16 @@ class QueryPool:
             for conn in ready:
                 slot = conn_to_slot[conn]
                 try:
-                    index, reward, error, payload = conn.recv()
+                    index, reward, error, spans = conn.recv()
                 except (EOFError, OSError):
                     index = drop(slot)
                     self._handle_crash(slot)
                     requeue_after_crash(index)
                     continue
                 drop(slot)
-                self._absorb(payload, tasks[index])
+                self.metrics.counter("pool.queries", tier="pooled").inc()
+                self.metrics.histogram("pool.query_seconds").observe(
+                    spans[-1].seconds)
                 if error is None:
                     # The replica executed a real query; mirror it into
                     # the parent's budget counter before validating.
@@ -582,14 +618,10 @@ class QueryPool:
                             f"{reward!r}"))
                         continue
                     pinned.pop(index, None)
-                    outcome = QueryOutcome(
+                    results[index] = QueryOutcome(
                         reward=reward,
                         retries=failures[index] + crashes[index],
-                        pooled=True)
-                    if payload is not None:
-                        outcome.phases, outcome.phase_calls, \
-                            outcome.seconds = payload
-                    results[index] = outcome
+                        spans=spans, pooled=True)
                     continue
                 if getattr(error, "replica_safe", False) and isinstance(
                         error, TransientEnvironmentError):
@@ -607,44 +639,14 @@ class QueryPool:
                     raise error
         return results
 
-    def _absorb(self, payload, task) -> None:
-        """Fold one worker reply's phase payload into parent accounting.
-
-        Merges the phase deltas into the parent-side profiler (the same
-        object the worker's fork-copy accumulated into — this is what
-        makes pooled-tier rollups possible) and updates the pool's
-        wall-clock counters and optional metrics.  Failed attempts ship
-        payloads too, keeping parity with the serial path where the
-        profiler accumulates even during attempts that raise.
-        """
-        if payload is None:
-            return
-        phases, calls, seconds = payload
-        self.pooled_queries += 1
-        self.pooled_seconds += seconds
-        if phases:
-            profiler = find_profiler(self.system, task)
-            if profiler is not None:
-                profiler.merge(phases, calls)
-        if self.metrics is not None:
-            self.metrics.counter("pool.queries", tier="pooled").inc()
-            self.metrics.histogram("pool.query_seconds").observe(seconds)
-            for name, phase_seconds in (phases or {}).items():
-                self.metrics.histogram("pool.phase_seconds",
-                                       phase=name).observe(phase_seconds)
-
-    def _handle_crash(self, slot: int) -> None:
+    def _handle_crash(self, slot: int, kill: bool = False) -> None:
         """Reap + respawn one worker, recording the death."""
-        self.crashes += 1
-        if self.metrics is not None:
-            self.metrics.counter("pool.crashes").inc()
-        self._recycle(slot)
+        self.metrics.counter("pool.crashes").inc()
+        self._recycle(slot, kill=kill)
 
     def _note_fallback(self) -> None:
         """Count one query the pool had to execute in-process."""
-        self.serial_fallbacks += 1
-        if self.metrics is not None:
-            self.metrics.counter("pool.serial_fallbacks").inc()
+        self.metrics.counter("pool.serial_fallbacks").inc()
 
     def _count_query(self) -> None:
         """Mirror a worker-side query into the parent's budget counter.
@@ -678,6 +680,5 @@ class QueryPool:
         self.close()
 
     def __repr__(self) -> str:
-        mode = "parallel" if self.parallel and not self.broken else "serial"
-        return (f"QueryPool(workers={self.workers}, mode={mode}, "
+        return (f"QueryPool(workers={self.workers}, tier={self.tier}, "
                 f"crashes={self.crashes})")

@@ -15,13 +15,13 @@ reward after an injection — nothing else.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..data.interactions import Dataset, InteractionLog
 from ..effects import pure
+from ..obs.trace import traced
 from .base import Ranker, batch_slices
 from .candidate import (CandidateGenerator, PopularityCandidateGenerator,
                         RandomCandidateGenerator)
@@ -116,9 +116,6 @@ class RecommenderSystem:
         self._merged_skeleton = self.clean_log.copy()
         self.incremental = incremental
         self.verify_incremental = verify_incremental
-        #: Optional :class:`repro.perf.QueryProfiler` timing each attack
-        #: phase (restore / merge / retrain / score).
-        self.profiler = None
         self._active_poison: Optional[InteractionLog] = None
 
         # Frozen evaluation protocol: fixed eval users and candidate sets so
@@ -215,12 +212,6 @@ class RecommenderSystem:
             poison.add_sequence(int(self.attacker_users[i]), trajectory)
         return poison
 
-    def _phase(self, name: str):
-        """Profiling context for one attack phase (no-op when unprofiled)."""
-        if self.profiler is None:
-            return nullcontext()
-        return self.profiler.phase(name)
-
     def reset(self, force: bool = False) -> None:
         """Reload the clean ranker state (pre-poison).
 
@@ -266,11 +257,11 @@ class RecommenderSystem:
         This is the consistency invariant ``repro.runtime``'s
         retry/backoff loop relies on when it re-issues a failed query.
         """
-        with self._phase("merge"):
+        with traced("merge"):
             poison = self.build_poison_log(trajectories)
             self._merged_skeleton.splice(poison)
         try:
-            with self._phase("retrain"):
+            with traced("retrain"):
                 self.ranker.poison_update(self._merged_skeleton, poison)
         except Exception:
             self.ranker.restore(self._clean_state)
@@ -298,12 +289,16 @@ class RecommenderSystem:
         ``trajectories`` — independent of query order — which is the
         exact-equivalence contract :class:`repro.perf.QueryPool` relies
         on to fan queries out across worker processes.
+
+        The restore / merge / retrain / score phases are recorded as
+        spans into the caller's :func:`~repro.obs.trace.collect_spans`
+        scope, if one is open.
         """
-        with self._phase("restore"):
+        with traced("restore"):
             self.reset()
         self.inject(trajectories)
         self.query_count += 1
-        with self._phase("score"):
+        with traced("score"):
             return self.recnum()
 
     def __repr__(self) -> str:

@@ -3,13 +3,13 @@
 Runs a fleet of concurrent attack campaigns over one shared
 :class:`~repro.perf.pool.QueryPool` worker fleet, with supervision
 (per-campaign failure isolation, checkpointed restarts with exponential
-backoff), tiered graceful degradation (pooled → reduced → serial), a
-crash-safe scheduler journal (``kill -9`` resumes bit-identically), and
-cooperative SIGTERM/SIGINT drains.  See ``docs/serving.md``.
+backoff), tiered graceful degradation (pooled → reduced → serial,
+decided by the pool), a crash-safe scheduler journal (``kill -9``
+resumes bit-identically), and cooperative SIGTERM/SIGINT drains.  See
+``docs/serving.md``.
 """
 
 from .campaign import CampaignRecord, CampaignSpec, CampaignStatus
-from .degrade import TIERS, DegradationController
 from .grid import DEFAULT_ACTION_SPACES, DEFAULT_RANKERS, grid_specs
 from .journal import (JOURNAL_FORMAT, JOURNAL_VERSION, FleetLedger,
                       LedgerEntry, SchedulerJournal, read_events, replay)
@@ -18,14 +18,12 @@ from .scheduler import CampaignScheduler, FleetResult, default_builder
 from .supervision import (FATAL_ERRORS, HOST_ERRORS, RESTARTABLE_ERRORS,
                           CampaignSupervisor, DrainController,
                           DrainRequested, RestartPolicy)
-from .telemetry import CampaignTelemetry, FleetTelemetry
+from .telemetry import FleetTelemetry
 
 __all__ = [
     "CampaignRecord",
     "CampaignSpec",
     "CampaignStatus",
-    "DegradationController",
-    "TIERS",
     "DEFAULT_ACTION_SPACES",
     "DEFAULT_RANKERS",
     "grid_specs",
@@ -48,6 +46,5 @@ __all__ = [
     "FATAL_ERRORS",
     "HOST_ERRORS",
     "RESTARTABLE_ERRORS",
-    "CampaignTelemetry",
     "FleetTelemetry",
 ]

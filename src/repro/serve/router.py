@@ -21,10 +21,9 @@ trajectory content.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..perf.pool import QueryOutcome
-from ..perf.profile import QueryProfiler, find_profiler
 
 
 class CampaignRouter:
@@ -52,17 +51,6 @@ class CampaignRouter:
         """Serve one tagged query ``(campaign_name, trajectories)``."""
         name, trajectories = task
         return float(self._envs[name].attack(trajectories))
-
-    def resolve_profiler(self, task) -> Optional[QueryProfiler]:
-        """The profiler of the campaign a tagged ``task`` routes to.
-
-        The :func:`~repro.perf.profile.find_profiler` hook: workers use
-        it to attribute each query's phase timings to the right
-        campaign, and the parent uses it to merge shipped deltas back
-        into that campaign's parent-side profiler.
-        """
-        name, _ = task
-        return find_profiler(self._envs.get(name))
 
     def __repr__(self) -> str:
         return f"CampaignRouter(campaigns={list(self._envs)})"

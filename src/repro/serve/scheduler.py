@@ -19,9 +19,11 @@ Robustness is layered on end to end:
   transient trouble restarts the campaign from its last checkpoint
   with exponential backoff, fatal trouble quarantines it to ``FAILED``
   without touching siblings;
-* the fleet degrades gracefully (:mod:`repro.serve.degrade`): a broken
-  or crash-storming pool is rebuilt smaller, and ultimately dropped for
-  in-process serial execution — identical results, reduced throughput;
+* the fleet degrades gracefully: the shared pool owns its tier (see
+  :mod:`repro.perf.pool`) and steps a broken or crash-storming fleet
+  down to half the workers, and ultimately to in-process serial
+  execution — identical results, reduced throughput; the scheduler
+  journals and narrates each change;
 * SIGTERM/SIGINT drain cooperatively: in-flight queries finish, every
   campaign checkpoints, the journal records the drain, exit code 0.
 
@@ -44,14 +46,12 @@ from typing import Callable, Dict, List, Optional
 
 from ..core import PoisonRec
 from ..perf.pool import QueryPool
-from ..perf.profile import QueryProfiler
 from ..runtime.checkpoint import load_campaign, save_campaign
 from ..runtime.errors import FailureBudgetExhausted
 from ..runtime.faults import FaultPlan, FaultyEnvironment, WorkerFaultPlan
 from ..runtime.resilience import ResilienceConfig
 from ..runtime.retry import RetryPolicy
 from .campaign import CampaignRecord, CampaignSpec, CampaignStatus
-from .degrade import DegradationController
 from .journal import SchedulerJournal, replay
 from .router import CampaignQueryClient, CampaignRouter
 from .supervision import (HOST_ERRORS, CampaignSupervisor, DrainController,
@@ -108,7 +108,8 @@ class CampaignScheduler:
         campaign's checkpoint (``<name>.npz``) live here.
     workers:
         Worker fleet size at the healthy (``pooled``) tier; ``1`` runs
-        the whole fleet in-process.
+        the whole fleet in-process.  The fleet's one
+        :class:`~repro.perf.pool.QueryPool` decides any step down.
     slice_steps:
         Training steps one campaign runs per scheduling turn.  Smaller
         slices interleave campaigns more finely and checkpoint more
@@ -138,7 +139,6 @@ class CampaignScheduler:
                  telemetry: Optional[FleetTelemetry] = None,
                  builder: Callable = default_builder,
                  sleep: Callable[[float], None] = time.sleep,
-                 min_workers: int = 2, crash_storm: int = 8,
                  obs=None) -> None:
         if slice_steps < 1:
             raise ValueError("slice_steps must be at least 1")
@@ -146,8 +146,6 @@ class CampaignScheduler:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.journal = SchedulerJournal(self.directory / "journal.jsonl")
         self.slice_steps = slice_steps
-        self.stall_timeout = stall_timeout
-        self.worker_chaos = worker_chaos
         self.builder = builder
         self.sleep = sleep
         self.obs = obs
@@ -155,13 +153,14 @@ class CampaignScheduler:
             else FleetTelemetry(obs=obs)
         self.supervisor = CampaignSupervisor(restart)
         self.drain = DrainController()
-        self.degradation = DegradationController(
-            workers, min_workers=min_workers, crash_storm=crash_storm)
         self.router = CampaignRouter()
         self.records: Dict[str, CampaignRecord] = {}
-        self._pool: Optional[QueryPool] = None
-        self._pool_crashes = 0
-        self._pool_fallbacks = 0
+        # Workers fork lazily at the first batch, after every campaign's
+        # environment is registered with the router.
+        self._pool = QueryPool(self.router, workers=workers,
+                               stall_timeout=stall_timeout,
+                               chaos=worker_chaos, obs=obs)
+        self._tier = (self._pool.tier, self._pool.workers)
 
     # ------------------------------------------------------------------
     # Submission and resume
@@ -219,30 +218,15 @@ class CampaignScheduler:
         if record.total_steps is None:
             record.total_steps = default_steps
         self.router.register(spec.name, env)
-        self._attach_profiler(record)
         self._rebuild_agent(record)
-
-    def _attach_profiler(self, record: CampaignRecord) -> None:
-        """Hang a QueryProfiler on the underlying recommender system."""
-        target = record.env
-        for _ in range(8):
-            if target is None:
-                return
-            if hasattr(target, "profiler"):
-                record.profiler = QueryProfiler()
-                target.profiler = record.profiler
-                return
-            inner = getattr(target, "_system", None)
-            if inner is None:
-                inner = getattr(target, "_env", None)
-            target = inner
-        record.profiler = None
 
     def _rebuild_agent(self, record: CampaignRecord) -> None:
         """Fresh agent, restored from the last checkpoint if one exists."""
-        record.agent = PoisonRec(record.env, record.config,
-                                 action_space=record.spec.action_space,
-                                 obs=self.obs)
+        record.agent = PoisonRec(
+            record.env, record.config,
+            action_space=record.spec.action_space,
+            query_pool=CampaignQueryClient(self._pool, record.spec.name),
+            obs=self.obs)
         record.agent.obs_attrs = {"campaign": record.spec.name}
         if record.checkpoint_path.exists():
             load_campaign(record.agent, record.checkpoint_path)
@@ -255,26 +239,6 @@ class CampaignScheduler:
                 self._build(record)
             if record.remaining == 0:
                 self._complete(record)
-
-    def _ensure_pool(self) -> None:
-        if self.degradation.serial or self._pool is not None:
-            return
-        self._pool = QueryPool(self.router,
-                               workers=self.degradation.workers,
-                               stall_timeout=self.stall_timeout,
-                               chaos=self.worker_chaos)
-        if self.obs is not None:
-            # Parent-side attachments only: workers are forked from
-            # ``self.router`` and never see the tracer or its log file.
-            self._pool.tracer = self.obs.tracer
-            self._pool.metrics = self.obs.metrics
-
-    def _retire_pool(self) -> None:
-        if self._pool is not None:
-            self._pool_crashes += self._pool.crashes
-            self._pool_fallbacks += self._pool.serial_fallbacks
-            self._pool.close()
-            self._pool = None
 
     # ------------------------------------------------------------------
     # The scheduling loop
@@ -290,7 +254,6 @@ class CampaignScheduler:
             self.drain.install()
         try:
             self._build_all()
-            self._ensure_pool()
             while not self.drain.requested:
                 record = self._next_runnable()
                 if record is None:
@@ -298,21 +261,19 @@ class CampaignScheduler:
                         continue
                     break
                 self._run_slice(record)
-                self._assess_fleet()
+                self._note_tier()
             if self.drain.requested:
                 self._drain_all()
         finally:
-            self._retire_pool()
+            self._pool.close()
             if handle_signals:
                 self.drain.uninstall()
             self.journal.close()
-        for record in self.records.values():
-            self.telemetry.rollup_profiler(record.spec.name, record.profiler)
         return FleetResult(records=dict(self.records),
                            drained=self.drain.requested,
-                           tier=self.degradation.tier,
-                           pool_crashes=self._pool_crashes,
-                           serial_fallbacks=self._pool_fallbacks)
+                           tier=self._pool.tier,
+                           pool_crashes=self._pool.crashes,
+                           serial_fallbacks=self._pool.serial_fallbacks)
 
     def _next_runnable(self) -> Optional[CampaignRecord]:
         now = time.monotonic()
@@ -338,13 +299,6 @@ class CampaignScheduler:
         # clocks, so the earliest campaign is now runnable by fiat.
         earliest.backoff_until = 0.0
         return True
-
-    def _client(self, record: CampaignRecord):
-        if self._pool is None:
-            return None
-        if record.client is None or record.client.pool is not self._pool:
-            record.client = CampaignQueryClient(self._pool, record.spec.name)
-        return record.client
 
     def _resilience(self, record: CampaignRecord,
                     steps: int) -> ResilienceConfig:
@@ -381,7 +335,7 @@ class CampaignScheduler:
         if self.obs is None:
             return nullcontext()
         return self.obs.span("slice", campaign=record.spec.name,
-                             steps=steps, tier=self.degradation.tier)
+                             steps=steps, tier=self._pool.tier)
 
     def _run_slice(self, record: CampaignRecord) -> None:
         spec = record.spec
@@ -391,7 +345,6 @@ class CampaignScheduler:
             self.journal.append({"event": "status", "name": spec.name,
                                  "status": "running"})
         agent = record.agent
-        agent.query_pool = self._client(record)
         steps = min(self.slice_steps, record.remaining)
 
         def callback(stats) -> None:
@@ -470,22 +423,19 @@ class CampaignScheduler:
     # ------------------------------------------------------------------
     # Degradation and drain
     # ------------------------------------------------------------------
-    def _assess_fleet(self) -> None:
-        new_tier = self.degradation.assess(self._pool)
-        if new_tier is None:
+    def _note_tier(self) -> None:
+        """Journal, count and narrate a step down the pool has taken."""
+        tier, workers = self._pool.tier, self._pool.workers
+        if (tier, workers) == self._tier:
             return
-        self.journal.append({"event": "tier", "tier": new_tier,
-                             "workers": self.degradation.workers})
+        self._tier = (tier, workers)
+        self.journal.append({"event": "tier", "tier": tier,
+                             "workers": workers})
         self.telemetry.metrics.counter("fleet.tier_changes",
-                                       tier=new_tier).inc()
-        self.telemetry.metrics.gauge("fleet.workers").set(
-            self.degradation.workers)
+                                       tier=tier).inc()
+        self.telemetry.metrics.gauge("fleet.workers").set(workers)
         self.telemetry.event(
-            f"fleet degraded to {new_tier} tier "
-            f"({self.degradation.workers} worker(s)): "
-            f"{self.degradation.reason}")
-        self._retire_pool()
-        self._ensure_pool()
+            f"fleet degraded to {tier} tier ({workers} worker(s))")
 
     def _drain_all(self) -> None:
         """Record the drain; every campaign is already checkpointed.

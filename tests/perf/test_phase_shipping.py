@@ -1,12 +1,12 @@
 """Worker-side phase shipping and the pooled-campaign trace account.
 
-Pooled workers measure each query's attack phases (restore / merge /
-retrain / score) in their own process and ship the deltas back with the
-:class:`~repro.perf.QueryOutcome`; the parent merges them into the
-campaign's profiler.  With tracing attached, the synthesized per-query
-phase spans must account for (nearly) all of the pool's busy time —
-the ISSUE acceptance criterion is a <=5% gap on the covisitation
-testbed — and tracing must leave the training history bit-identical.
+Every query runs as a ``query`` span in a collecting scope opened where
+it executes; the recommender records its attack phases (restore /
+merge / retrain / score) into that scope, and a pooled worker ships the
+closed spans back with the :class:`~repro.perf.QueryOutcome`.  With
+tracing attached, the phase spans must account for (nearly) all of the
+pool's busy time — within 5% on the covisitation testbed — and tracing
+must leave the training history bit-identical.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.core import PoisonRec, PoisonRecConfig
-from repro.obs import RunTelemetry, Tracer, load_run, write_chrome_trace
-from repro.perf import QueryPool, QueryProfiler
-from repro.perf.profile import PhaseDelta, find_profiler
+from repro.obs import (RunTelemetry, collect_spans, load_run, traced,
+                       write_chrome_trace)
+from repro.perf import QueryPool
+from repro.runtime import FaultPlan, FaultyEnvironment
 
 from .test_pool import HAS_FORK, SumSystem, batch, make_env
 
@@ -29,12 +30,6 @@ needs_fork = pytest.mark.skipif(not HAS_FORK,
 PHASES = ("restore", "merge", "retrain", "score")
 
 
-def profiled_env(ranker="covisitation", seed=0):
-    env = make_env(ranker, seed=seed)
-    env._system.profiler = QueryProfiler()
-    return env
-
-
 def env_batch(env, count, seed=0):
     """Query batches whose item ids fit the tiny environment."""
     rng = np.random.default_rng(seed)
@@ -42,88 +37,114 @@ def env_batch(env, count, seed=0):
              for _ in range(3)] for _ in range(count)]
 
 
-class TestPhaseDelta:
-    def test_delta_isolates_new_queries(self):
-        profiler = QueryProfiler()
-        with profiler.phase("score"):
-            pass
-        before = PhaseDelta(profiler)
-        with profiler.phase("score"):
-            pass
-        with profiler.phase("merge"):
-            pass
-        seconds, calls = before.delta()
-        assert calls == {"score": 1, "merge": 1}  # not the earlier one
-        assert set(seconds) == {"score", "merge"}
+def phase_spans(outcome):
+    """``{phase: span}`` of the direct children of the query span."""
+    root = outcome.spans[-1]
+    assert root.name == "query"
+    return {span.name: span for span in outcome.spans
+            if span.parent_id == root.span_id}
 
-    def test_none_profiler_is_tolerated(self):
-        assert PhaseDelta(None).delta() == (None, None)
 
-    def test_find_profiler_walks_wrappers(self):
-        env = profiled_env()
-        assert find_profiler(env) is env._system.profiler
-        assert find_profiler(SumSystem()) is None
-        assert find_profiler(None) is None
+class TestCollectingScope:
+    def test_scope_isolates_new_queries(self):
+        with collect_spans() as earlier:
+            with traced("score"):
+                pass
+        with collect_spans() as scope:
+            with traced("score"):
+                pass
+            with traced("merge"):
+                pass
+        # Only the spans opened inside this scope, not the earlier one.
+        assert [span.name for span in scope.spans] == ["score", "merge"]
+        assert [span.name for span in earlier.spans] == ["score"]
+
+    def test_no_scope_is_a_no_op(self):
+        with traced("score") as span:
+            assert span is None
+        with collect_spans() as outer:
+            with collect_spans() as inner:
+                with traced("merge"):
+                    pass
+            with traced("score"):
+                pass
+        # The inner scope collected its own span and restored the outer.
+        assert [span.name for span in inner.spans] == ["merge"]
+        assert [span.name for span in outer.spans] == ["score"]
+
+    def test_phases_recorded_behind_wrappers(self):
+        env = FaultyEnvironment(make_env(), FaultPlan())
+        with collect_spans() as scope:
+            env.attack(env_batch(env, 1)[0])
+        assert [span.name for span in scope.spans] == list(PHASES)
+        with collect_spans() as scope:
+            SumSystem().attack(batch(1)[0])
+        assert scope.spans == []
 
 
 @needs_fork
 class TestWorkerShipping:
     def test_phases_shipped_and_merged_into_parent(self):
-        env = profiled_env()
-        profiler = env._system.profiler
+        env = make_env()
         with QueryPool(env, workers=2) as pool:
             outcomes = pool.attack_many(env_batch(env, 6))
             assert pool.parallel
-            assert pool.pooled_queries == 6
-            assert pool.pooled_seconds > 0.0
+            busy = pool.metrics.histogram("pool.query_seconds")
+            assert busy.count == 6
+            assert busy.total > 0.0
         for outcome in outcomes:
             assert outcome.pooled
             assert outcome.seconds > 0.0
-            assert outcome.phases and "score" in outcome.phases
+            phases = phase_spans(outcome)
+            assert set(phases) == set(PHASES)
+            assert {span.proc for span in outcome.spans} <= {
+                "worker-0", "worker-1"}
             # Phase time is a subset of the worker's total query time.
-            assert sum(outcome.phases.values()) <= outcome.seconds
-        # The parent-side profiler absorbed the worker deltas: every
-        # query scored exactly once, despite running out-of-process.
-        assert profiler.summary()["score"]["calls"] == 6
+            assert sum(span.seconds
+                       for span in phases.values()) <= outcome.seconds
+        # Every query scored exactly once, despite running out-of-process.
+        assert sum(span.name == "score" for outcome in outcomes
+                   for span in outcome.spans) == 6
 
     def test_untimed_without_observability_consumers(self):
-        """No profiler anywhere -> outcomes still ship wall seconds."""
+        """No phases recorded -> outcomes still ship wall seconds."""
         with QueryPool(SumSystem(), workers=2) as pool:
             outcomes = pool.attack_many(batch(3))
         for outcome in outcomes:
             assert outcome.pooled
             assert outcome.seconds > 0.0
-            assert outcome.phases is None
+            assert [span.name for span in outcome.spans] == ["query"]
 
 
 class TestSerialTier:
     def test_serial_outcomes_timed_when_observed(self):
-        env = profiled_env()
-        pool = QueryPool(env, workers=1)
-        pool.tracer = Tracer()
+        env = make_env()
+        run = RunTelemetry()
+        pool = QueryPool(env, workers=1, obs=run)
         outcomes = pool.attack_many(env_batch(env, 4))
         for outcome in outcomes:
             assert not outcome.pooled
             assert outcome.seconds > 0.0
-            assert outcome.phases and "score" in outcome.phases
-        batches = [s for s in pool.tracer.spans if s.name == "pool.batch"]
+            assert "score" in phase_spans(outcome)
+        batches = [s for s in run.tracer.spans if s.name == "pool.batch"]
         assert len(batches) == 1
         assert batches[0].attrs["tier"] == "serial"
+        # Without telemetry the in-process path stays untimed.
+        untimed = QueryPool(env, workers=1).attack_many(env_batch(env, 1))
+        assert untimed[0].spans is None and untimed[0].seconds is None
 
 
 @needs_fork
 class TestPooledCampaignTrace:
     def run_campaign(self, obs=None, workers=4, log=None):
-        env = profiled_env()
-        pool = QueryPool(env, workers=workers) if workers else None
+        env = make_env()
         run = RunTelemetry(log) if obs else None
-        if pool is not None and run is not None:
-            pool.tracer = run.tracer
-            pool.metrics = run.metrics
+        pool = QueryPool(env, workers=workers, obs=run) if workers else None
         agent = PoisonRec(env, PoisonRecConfig.ci(), action_space="plain",
                           query_pool=pool, obs=run)
         result = agent.train(steps=2)
-        pooled_seconds = pool.pooled_seconds if pool else 0.0
+        busy_seconds = (pool.metrics.histogram("pool.query_seconds").total
+                          if pool else 0.0)
         fallbacks = pool.serial_fallbacks if pool else 0
         if pool is not None:
             pool.close()
@@ -131,30 +152,34 @@ class TestPooledCampaignTrace:
             run.close()
         history = [(s.step, s.mean_reward, s.max_reward, tuple(s.losses))
                    for s in result.history]
-        return history, pooled_seconds, fallbacks
+        return history, busy_seconds, fallbacks
 
     def test_trace_accounts_for_pooled_query_time(self, tmp_path):
-        """ISSUE acceptance: phase spans sum to within 5% of the pool's
-        busy seconds, the Chrome export is loadable, and tracing leaves
-        the history bit-identical."""
+        """Phase spans sum to within 5% of the pool's busy seconds, the
+        Chrome export is loadable, and tracing leaves the history
+        bit-identical."""
         log = tmp_path / "obs.jsonl"
-        traced, pooled_seconds, fallbacks = self.run_campaign(
+        traced, busy_seconds, fallbacks = self.run_campaign(
             obs=True, workers=4, log=log)
         assert fallbacks == 0  # every query went through the workers
 
         replay = load_run(log)
         phase_total = sum(span.seconds for span in replay.spans
                           if span.name in PHASES)
-        assert pooled_seconds > 0.0
-        assert phase_total == pytest.approx(pooled_seconds, rel=0.05)
+        assert busy_seconds > 0.0
+        assert phase_total == pytest.approx(busy_seconds, rel=0.05)
 
-        # Per-query metrics agree with the span account.
+        # Per-query metrics agree with the span account: the busy
+        # seconds are the very query spans the workers measured.
         snapshot = {(m["name"], tuple(sorted(m.get("labels", {}).items()))):
                     m for m in replay.metrics}
         queries = snapshot[("pool.queries", (("tier", "pooled"),))]
         latency = snapshot[("pool.query_seconds", ())]
         assert queries["value"] == latency["count"] > 0
-        assert latency["total"] == pytest.approx(pooled_seconds, rel=1e-6)
+        query_total = sum(span.seconds for span in replay.spans
+                          if span.name == "query")
+        assert latency["total"] == pytest.approx(query_total, rel=1e-6)
+        assert latency["total"] == pytest.approx(busy_seconds, rel=1e-6)
 
         # The Chrome trace export is well-formed and covers the spans.
         export = tmp_path / "chrome.json"

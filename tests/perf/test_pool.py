@@ -435,6 +435,67 @@ def test_chaos_campaign_bit_identical_to_serial_chaos():
     assert run(0) == run(3)
 
 
+class NoSpawnContext:
+    """A start-method context whose every spawn fails (e.g. EAGAIN)."""
+
+    def Pipe(self, duplex=True):
+        raise OSError("resource temporarily unavailable")
+
+
+class TestDegradation:
+    """The pool's one-way tiers: pooled -> reduced -> serial."""
+
+    @staticmethod
+    def run_batch(pool, count):
+        sets = batch(count, seed=15)
+        outcomes = pool.attack_many(sets)
+        # Identical results in every tier, whatever the workers suffered.
+        assert [o.reward for o in outcomes] == [
+            float(sum(sum(t) for t in s)) for s in sets]
+
+    @staticmethod
+    def kill_storm():
+        # Every dispatch kills its worker, so each query dies
+        # crash_retries + 1 = 4 times and then runs in-process.
+        return WorkerFaultPlan(kill_rate=1.0, seed=0)
+
+    def test_starts_serial_for_one_worker(self):
+        assert QueryPool(SumSystem(), workers=1).tier == "serial"
+        assert QueryPool(SumSystem(), workers=4).tier == (
+            "pooled" if HAS_FORK else "serial")
+
+    @needs_fork
+    def test_crash_storm_halves_workers(self):
+        with QueryPool(SumSystem(), workers=8,
+                       chaos=self.kill_storm()) as pool:
+            self.run_batch(pool, 1)       # 4 deaths: below the storm
+            assert (pool.tier, pool.workers) == ("pooled", 8)
+            self.run_batch(pool, 2)       # 8 deaths since the last check
+            assert (pool.tier, pool.workers) == ("reduced", 4)
+            assert pool.crashes == 12
+
+    @needs_fork
+    def test_broken_pool_downgrades(self, monkeypatch):
+        pool = QueryPool(SumSystem(), workers=4)
+        monkeypatch.setattr(pool, "_ctx", NoSpawnContext())
+        self.run_batch(pool, 3)
+        assert (pool.tier, pool.workers) == ("reduced", 2)
+
+    @needs_fork
+    def test_reduction_bottoms_out_at_serial(self):
+        with QueryPool(SumSystem(), workers=2,
+                       chaos=self.kill_storm()) as pool:
+            self.run_batch(pool, 2)
+            assert (pool.tier, pool.workers) == ("serial", 1)
+            assert not pool.parallel
+            # Serial is terminal: no workers left to kill (the crash
+            # count stands despite the kill-everything plan), and no way
+            # back up.
+            self.run_batch(pool, 2)
+            assert (pool.tier, pool.workers) == ("serial", 1)
+            assert pool.crashes == 8
+
+
 def test_worker_crash_error_is_transient():
     assert issubclass(WorkerCrashError, TransientEnvironmentError)
 

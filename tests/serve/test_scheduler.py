@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import PoisonRec
+from repro.obs import RunTelemetry
 from repro.runtime.errors import (CorruptCheckpointError,
                                   TransientEnvironmentError)
 from repro.serve import (CampaignScheduler, CampaignSpec, CampaignStatus,
@@ -378,21 +379,22 @@ class TestTelemetry:
                                    telemetry=telemetry)
         scheduler.submit(CampaignSpec(name="a", steps=3, seed=0))
         result = scheduler.run()
-        entry = telemetry.campaigns["a"]
-        assert entry.steps == 3
-        assert entry.best_reward == result.records["a"].agent.result \
+        counts = telemetry.counts("a")
+        assert counts["steps"] == 3
+        assert counts["best"] == result.records["a"].agent.result \
             .best_reward
         table = telemetry.render_table(result.records)
         assert "completed" in table and "a" in table
 
     def test_profiler_rollup_covers_serial_queries(self, tmp_path,
                                                    tiny_builder):
-        telemetry = FleetTelemetry()
+        obs = RunTelemetry()
+        telemetry = FleetTelemetry(obs=obs)
         scheduler = make_scheduler(tmp_path, tiny_builder, slice_steps=2,
-                                   telemetry=telemetry)
+                                   telemetry=telemetry, obs=obs)
         scheduler.submit(CampaignSpec(name="a", steps=2, seed=0))
         scheduler.run()
         totals = telemetry.phase_totals()
         # Serial tier: restore/retrain/score all happen in-process.
-        assert totals, "expected profiler phases at the serial tier"
+        assert totals, "expected phase histograms at the serial tier"
         assert all(seconds >= 0.0 for seconds in totals.values())

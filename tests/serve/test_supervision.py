@@ -10,8 +10,7 @@ from repro.runtime.errors import (CampaignDivergenceError,
                                   RetriesExhaustedError,
                                   TransientEnvironmentError)
 from repro.serve import (CampaignRecord, CampaignSpec, CampaignSupervisor,
-                         DegradationController, DrainController,
-                         RestartPolicy)
+                         DrainController, RestartPolicy)
 
 
 class TestRestartPolicy:
@@ -108,39 +107,3 @@ class TestDrainController:
         assert signal.getsignal(signal.SIGTERM) is not previous
         drain.uninstall()
         assert signal.getsignal(signal.SIGTERM) is previous
-
-
-class TestDegradation:
-    class FakePool:
-        def __init__(self, crashes=0, broken=False):
-            self.crashes = crashes
-            self.broken = broken
-
-    def test_starts_serial_for_one_worker(self):
-        assert DegradationController(1).tier == "serial"
-        assert DegradationController(4).tier == "pooled"
-
-    def test_crash_storm_halves_workers(self):
-        controller = DegradationController(8, crash_storm=4)
-        assert controller.assess(self.FakePool(crashes=3)) is None
-        assert controller.assess(self.FakePool(crashes=7)) == "reduced"
-        assert controller.workers == 4
-
-    def test_broken_pool_downgrades(self):
-        controller = DegradationController(4)
-        assert controller.assess(self.FakePool(broken=True)) == "reduced"
-        assert controller.workers == 2
-
-    def test_reduction_bottoms_out_at_serial(self):
-        controller = DegradationController(2, crash_storm=1)
-        assert controller.assess(self.FakePool(crashes=1)) == "serial"
-        assert controller.workers == 1
-        assert controller.serial
-        # Serial is terminal: nothing further to assess.
-        assert controller.assess(None) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DegradationController(4, min_workers=1)
-        with pytest.raises(ValueError):
-            DegradationController(4, crash_storm=0)

@@ -8,6 +8,8 @@ from repro.obs import RunTelemetry
 from repro.serve import (CampaignScheduler, CampaignSpec, CampaignStatus,
                          FleetTelemetry)
 
+from .fleet_driver import build
+
 
 class FakeStats:
     def __init__(self, step, mean=1.0, best=5.0, retries=0, quarantined=0):
@@ -18,34 +20,30 @@ class FakeStats:
         self.quarantined = quarantined
 
 
-class FakeProfiler:
-    def __init__(self, summary):
-        self._summary = summary
-
-    def summary(self):
-        return self._summary
-
-
 def make_scheduler(directory, builder, **kwargs):
     kwargs.setdefault("sleep", lambda seconds: None)
     return CampaignScheduler(directory, builder=builder, **kwargs)
 
 
+def observe_phase(telemetry, campaign, phase, seconds):
+    """What an agent records for one phase span of one query."""
+    telemetry.metrics.histogram("agent.phase_seconds", phase=phase,
+                                campaign=campaign).observe(seconds)
+
+
 class TestPhaseTotals:
     def test_totals_sum_across_campaigns(self):
         telemetry = FleetTelemetry()
-        telemetry.rollup_profiler("a", FakeProfiler(
-            {"score": {"seconds": 1.0}, "retrain": {"seconds": 2.0}}))
-        telemetry.rollup_profiler("b", FakeProfiler(
-            {"score": {"seconds": 0.5}}))
-        telemetry.rollup_profiler("c", None)  # tolerated
+        observe_phase(telemetry, "a", "score", 1.0)
+        observe_phase(telemetry, "a", "retrain", 2.0)
+        observe_phase(telemetry, "b", "score", 0.5)
+        telemetry.metrics.counter("agent.queries", campaign="c").inc()
         assert telemetry.phase_totals() == {"score": 1.5, "retrain": 2.0}
 
     def test_repeated_rollups_accumulate(self):
         telemetry = FleetTelemetry()
-        profiler = FakeProfiler({"merge": {"seconds": 0.25}})
-        telemetry.rollup_profiler("a", profiler)
-        telemetry.rollup_profiler("a", profiler)
+        observe_phase(telemetry, "a", "merge", 0.25)
+        observe_phase(telemetry, "a", "merge", 0.25)
         assert telemetry.phase_totals() == {"merge": 0.5}
 
 
@@ -54,9 +52,9 @@ class TestHydration:
         telemetry = FleetTelemetry()
         telemetry.hydrate("a", steps=5, best=42.0, retries=2,
                           quarantined=1, restarts=3)
-        entry = telemetry.campaigns["a"]
-        assert (entry.steps, entry.best_reward, entry.retries,
-                entry.quarantined, entry.restarts) == (5, 42.0, 2, 1, 3)
+        assert telemetry.counts("a") == {"steps": 5, "best": 42.0,
+                                         "retries": 2, "quarantined": 1,
+                                         "restarts": 3}
         table = telemetry.render_table()
         assert "42" in table and "-" not in table.splitlines()[-1].split()
 
@@ -65,18 +63,18 @@ class TestHydration:
         for step in range(4):
             telemetry.observe("a", FakeStats(step, best=50.0, retries=1))
         telemetry.hydrate("a", steps=2, best=10.0, retries=1)
-        entry = telemetry.campaigns["a"]
-        assert entry.steps == 4  # live observations win when larger
-        assert entry.best_reward == 50.0
-        assert entry.retries == 4
+        counts = telemetry.counts("a")
+        assert counts["steps"] == 4  # live observations win when larger
+        assert counts["best"] == 50.0
+        assert counts["retries"] == 4
 
     def test_observe_layers_on_top_of_hydration(self):
         telemetry = FleetTelemetry()
         telemetry.hydrate("a", steps=5, best=42.0)
         telemetry.observe("a", FakeStats(5, best=30.0))
-        entry = telemetry.campaigns["a"]
-        assert entry.best_reward == 42.0  # journaled best still wins
-        assert entry.steps == 6
+        counts = telemetry.counts("a")
+        assert counts["best"] == 42.0  # journaled best still wins
+        assert counts["steps"] == 6
 
 
 class TestObsMirroring:
@@ -126,6 +124,34 @@ class TestResumedFleetTable:
         cells = row.split()
         assert cells[2] == "2"      # steps from the journal
         assert cells[3] != "-"      # best hydrated, not blank
+
+    def test_resumed_table_row_equals_registry_counters(self, tmp_path):
+        """Regression: a resumed fleet's table said ``steps 2`` while its
+        ``fleet.steps`` counter said 0 — the table kept its own copies
+        of the counters, and hydration never reached the registry."""
+        fleet_dir = tmp_path / "fleet"
+        first = make_scheduler(fleet_dir, build, slice_steps=2)
+        first.submit(CampaignSpec(name="done", ranker="covisitation",
+                                  steps=2, seed=0))
+        assert first.run().all_completed
+
+        obs = RunTelemetry()
+        second = make_scheduler(fleet_dir, build, slice_steps=2, obs=obs)
+        second.resume()
+        result = second.run()
+        row = next(line for line
+                   in second.telemetry.render_table(result.records)
+                   .splitlines() if line.startswith("done"))
+        cells = row.split()
+        metrics = obs.metrics
+        assert cells[1] == "completed"
+        assert int(cells[2]) == metrics.counter(
+            "fleet.steps", campaign="done").value == 2
+        assert cells[3] == "{:.0f}".format(metrics.gauge(
+            "fleet.best_reward", campaign="done").value)
+        assert [int(cell) for cell in cells[4:7]] == [
+            metrics.counter(f"fleet.{name}", campaign="done").value
+            for name in ("retries", "quarantined", "restarts")]
 
     def test_interleaved_campaign_event_order(self, tmp_path,
                                               tiny_builder):

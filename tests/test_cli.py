@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import load_run
 
 
 class TestParser:
@@ -197,3 +198,31 @@ class TestObservabilityCommands:
 
         assert main(["metrics", log]) == 0
         assert "agent.queries" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_attack_trace_nests_query_phases(self, capsys, tmp_path,
+                                             workers):
+        """Regression: attack traces had no restore/merge/retrain/score
+        spans, and pooled ``query`` spans were laid end to end from the
+        batch start, overrunning their ``query_batch``."""
+        log = tmp_path / "obs.jsonl"
+        assert main(["attack", "--dataset", "steam",
+                     "--ranker", "covisitation", "--method", "poisonrec",
+                     "--steps", "2", "--workers", workers,
+                     "--obs-log", str(log)]) == 0
+        capsys.readouterr()
+        spans = load_run(log).spans
+        by_id = {span.span_id: span for span in spans}
+        queries = [span for span in spans if span.name == "query"]
+        assert queries
+        for query in queries:
+            assert by_id[query.parent_id].name == "query_batch"
+            children = sorted((span for span in spans
+                               if span.parent_id == query.span_id),
+                              key=lambda span: span.span_id)
+            assert [span.name for span in children] == [
+                "restore", "merge", "retrain", "score"]
+            for span in [query] + children:
+                parent = by_id[span.parent_id]
+                assert parent.start <= span.start <= span.end <= parent.end
