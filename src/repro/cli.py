@@ -190,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: src tests benchmarks)")
     check.add_argument("-v", "--verbose", action="store_true",
                        help="list every passing shapecheck check")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run the analyzers in N parallel processes "
-                            "(they are independent; findings still "
-                            "aggregate into one exit code)")
     return parser
 
 
@@ -451,22 +447,25 @@ def _run_analyzer(spec: Tuple[str, str, List[str]]
                   ) -> Tuple[str, int, str, str]:
     """Run one analyzer CLI with captured output.
 
-    Module-level and picklable so ``check --jobs N`` can dispatch it to
-    worker processes.  Returns ``(name, exit_code, stdout, stderr)``;
-    analyzer crashes map to the shared internal-error code 2 with the
-    traceback on stderr, so one broken tool cannot mask the others.
+    ``spec`` is ``(name, entry, argv)``, where ``entry`` names a module
+    whose ``main`` to call, or ``module:function``.  Module-level and
+    picklable so ``check`` can dispatch it to worker processes.  Returns
+    ``(name, exit_code, stdout, stderr)``; analyzer crashes map to the
+    shared internal-error code 2 with the traceback on stderr, so one
+    broken tool cannot mask the others.
     """
     import importlib
     import io
     import traceback
     from contextlib import redirect_stderr, redirect_stdout
 
-    name, module_name, argv = spec
+    name, entry, argv = spec
+    module_name, _, function = entry.partition(":")
     out, err = io.StringIO(), io.StringIO()
     try:
         module = importlib.import_module(module_name)
         with redirect_stdout(out), redirect_stderr(err):
-            code = module.main(list(argv))
+            code = getattr(module, function or "main")(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
     except Exception as error:
@@ -480,25 +479,25 @@ def _run_analyzer(spec: Tuple[str, str, List[str]]
 def cmd_check(args: argparse.Namespace) -> int:
     """``check``: graphlint, shapecheck, effectcheck, then faultcheck.
 
-    With ``--jobs N`` the four analyzers run in parallel processes;
-    their reports are still printed in the fixed order above, and the
-    aggregate exit code is the worst individual one (0 clean /
+    Three independent analyses run in parallel processes: graphlint,
+    shapecheck, and effectcheck + faultcheck over one shared package
+    analysis.  Their reports are printed in the fixed order above, and
+    the aggregate exit code is the worst individual one (0 clean /
     1 findings / 2 internal error).
     """
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
     specs: List[Tuple[str, str, List[str]]] = [
         ("graphlint", "repro.devtools.lint", list(args.paths)),
         ("shapecheck", "repro.devtools.shapecheck.cli",
          ["-v"] if args.verbose else []),
-        ("effectcheck", "repro.devtools.effectcheck.cli", []),
-        ("faultcheck", "repro.devtools.faultcheck.cli", []),
+        ("effectcheck+faultcheck",
+         "repro.devtools.faultcheck.cli:main_with_effects", []),
     ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(args.jobs, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_analyzer, specs))
-    else:
-        results = [_run_analyzer(spec) for spec in specs]
+    workers = min(len(specs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(_run_analyzer, specs))
     codes = []
     for name, code, out, err in results:
         sys.stdout.write(out)

@@ -75,19 +75,17 @@ def stmt_spans(tree: ast.AST) -> List[Tuple[int, int]]:
 class SuppressionFilter:
     """Per-file suppression lookups for one tool.
 
-    With a parsed ``tree`` the disable comment may sit on any physical
-    line of the *innermost* statement containing the diagnostic —
-    multi-line calls and parenthesized expressions commonly carry it on
-    their closing line.  Without a tree only the diagnostic's own line
-    is consulted.
+    The disable comment may sit on any physical line of the *innermost*
+    statement of ``tree`` containing the diagnostic — multi-line calls
+    and parenthesized expressions commonly carry it on their closing
+    line.
     """
 
     def __init__(self, tool: str, lines: Sequence[str],
-                 tree: Optional[ast.AST] = None) -> None:
+                 tree: ast.AST) -> None:
         self.pattern = suppression_pattern(tool)
         self.lines = lines
-        self.spans: Sequence[Tuple[int, int]] = (
-            stmt_spans(tree) if tree is not None else ())
+        self.spans = stmt_spans(tree)
 
     def covers(self, rule: str, line: int) -> bool:
         """Whether a disable comment silences ``rule`` at ``line``."""
@@ -114,15 +112,6 @@ def rule_statistics(diagnostics: Iterable, rule_ids: Iterable[str]) -> dict:
     for diag in diagnostics:
         counts[diag.rule] = counts.get(diag.rule, 0) + 1
     return counts
-
-
-def diagnostic_row(diag, fields: Sequence[str]) -> dict:
-    """One diagnostic as a JSON-ready dict of the named attributes."""
-    row = {}
-    for name in fields:
-        value = getattr(diag, name)
-        row[name] = list(value) if isinstance(value, tuple) else value
-    return row
 
 
 def json_report(rows: Sequence[dict], statistics: dict, **extra) -> str:

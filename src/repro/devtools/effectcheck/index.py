@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 #: Decorator names recognized as effect contracts (``repro.effects``).
 _PURE_NAMES = {"pure"}
@@ -30,6 +30,61 @@ FORK_UNSAFE_FACTORIES = {
     "Condition", "Event", "Semaphore", "BoundedSemaphore", "Barrier",
     "Thread", "Process", "Pool", "Queue", "SimpleQueue", "Popen", "mmap",
     "TemporaryFile", "NamedTemporaryFile", "connect",
+}
+
+
+#: Builtin exception hierarchy (child -> parent), enough to decide what
+#: ``except Exception`` catches without importing anything.
+BUILTIN_EXCEPTION_BASES: Dict[str, Optional[str]] = {
+    "BaseException": None,
+    "Exception": "BaseException",
+    "SystemExit": "BaseException",
+    "KeyboardInterrupt": "BaseException",
+    "GeneratorExit": "BaseException",
+    "ArithmeticError": "Exception",
+    "ZeroDivisionError": "ArithmeticError",
+    "FloatingPointError": "ArithmeticError",
+    "OverflowError": "ArithmeticError",
+    "AssertionError": "Exception",
+    "AttributeError": "Exception",
+    "BufferError": "Exception",
+    "EOFError": "Exception",
+    "ImportError": "Exception",
+    "ModuleNotFoundError": "ImportError",
+    "LookupError": "Exception",
+    "IndexError": "LookupError",
+    "KeyError": "LookupError",
+    "MemoryError": "Exception",
+    "NameError": "Exception",
+    "UnboundLocalError": "NameError",
+    "OSError": "Exception",
+    "IOError": "OSError",
+    "BlockingIOError": "OSError",
+    "BrokenPipeError": "OSError",
+    "ConnectionError": "OSError",
+    "ConnectionResetError": "ConnectionError",
+    "FileExistsError": "OSError",
+    "FileNotFoundError": "OSError",
+    "InterruptedError": "OSError",
+    "IsADirectoryError": "OSError",
+    "NotADirectoryError": "OSError",
+    "PermissionError": "OSError",
+    "TimeoutError": "OSError",
+    "ReferenceError": "Exception",
+    "RuntimeError": "Exception",
+    "NotImplementedError": "RuntimeError",
+    "RecursionError": "RuntimeError",
+    "StopIteration": "Exception",
+    "StopAsyncIteration": "Exception",
+    "SyntaxError": "Exception",
+    "IndentationError": "SyntaxError",
+    "SystemError": "Exception",
+    "TypeError": "Exception",
+    "ValueError": "Exception",
+    "UnicodeError": "ValueError",
+    "UnicodeDecodeError": "UnicodeError",
+    "UnicodeEncodeError": "UnicodeError",
+    "Warning": "Exception",
 }
 
 
@@ -121,6 +176,8 @@ class ClassInfo:
     rng_attrs: Set[str] = field(default_factory=set)
     #: (attr, line, what) for fork-unsafe constructor assignments.
     unsafe_attrs: List[Tuple[str, int, str]] = field(default_factory=list)
+    #: attr -> (mode, line) for ``self.attr = open(...)`` handles.
+    open_handles: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
     @property
     def key(self) -> str:
@@ -146,16 +203,20 @@ class ModuleInfo:
 class PackageIndex:
     """Whole-package static model with name/method resolution helpers."""
 
-    def __init__(self, root: Path, package: Optional[str] = None) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        self.package = package or self.root.name
+        self.package = self.root.name
         self.modules: Dict[str, ModuleInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         #: method name -> classes defining it (class-hierarchy analysis).
         self.method_definers: Dict[str, List[ClassInfo]] = {}
         self.errors: List[str] = []
+        #: ``module.NAME`` -> expanded type names, for module-level
+        #: exception tuples like ``HOST_ERRORS = (MemoryError, ...)``.
+        self.exception_tuples: Dict[str, Tuple[str, ...]] = {}
         self._mro_cache: Dict[str, List[ClassInfo]] = {}
+        self._ancestry_cache: Dict[str, FrozenSet[str]] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -178,6 +239,7 @@ class PackageIndex:
         for module in self.modules.values():
             for cls in module.classes.values():
                 self._scan_class_attrs(cls, module)
+            self._scan_exception_tuples(module)
 
     def _dotted_for(self, path: Path) -> str:
         relative = path.relative_to(self.root).with_suffix("")
@@ -295,15 +357,17 @@ class PackageIndex:
                     cls.own_attrs.add(target.attr)
                     if value is not None:
                         self._classify_attr_value(cls, module, target.attr,
-                                                  value)
+                                                  value, node.lineno)
 
     def _classify_attr_value(self, cls: ClassInfo, module: ModuleInfo,
-                             attr: str, value: ast.expr) -> None:
+                             attr: str, value: ast.expr, line: int) -> None:
         if isinstance(value, ast.GeneratorExp):
             cls.unsafe_attrs.append((attr, value.lineno, "live generator"))
             return
         if not isinstance(value, ast.Call):
             return
+        if isinstance(value.func, ast.Name) and value.func.id == "open":
+            cls.open_handles[attr] = (_open_mode(value), line)
         terminal = decorator_terminal_name(value.func)
         if terminal == "default_rng":
             cls.rng_attrs.add(attr)
@@ -322,9 +386,45 @@ class PackageIndex:
             if resolved is not None:
                 cls.attr_types.setdefault(attr, set()).add(resolved.key)
 
+    def _scan_exception_tuples(self, module: ModuleInfo) -> None:
+        for node in module.tree.body:
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Tuple)
+                    and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            names: List[str] = []
+            for element in node.value.elts:
+                ref = dotted_name(element)
+                if ref is None:
+                    names = []
+                    break
+                tail = ref.rsplit(".", 1)[-1]
+                if tail in BUILTIN_EXCEPTION_BASES or \
+                        self.resolve_class(module.dotted, ref):
+                    names.append(tail)
+                else:
+                    names = []
+                    break
+            if names:
+                key = f"{module.dotted}.{node.targets[0].id}"
+                self.exception_tuples[key] = tuple(names)
+
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
+    def relpath(self, path: str) -> str:
+        """Render ``path`` relative to the analyzed tree's parent."""
+        try:
+            return str(Path(path).relative_to(self.root.parent))
+        except ValueError:
+            return path
+
+    def class_named(self, name: str) -> Optional[ClassInfo]:
+        """The indexed class called ``name``, if exactly one is."""
+        matches = [c for c in self.classes.values() if c.name == name]
+        return matches[0] if len(matches) == 1 else None
+
     def resolve(self, module_dotted: str, ref: str) -> Optional[str]:
         """Resolve a (possibly dotted) local name to a package-level key."""
         module = self.modules.get(module_dotted)
@@ -451,3 +551,75 @@ class PackageIndex:
     def iter_functions(self) -> Iterator[FunctionInfo]:
         """All indexed functions and methods."""
         return iter(self.functions.values())
+
+    # ------------------------------------------------------------------
+    # Exception types
+    # ------------------------------------------------------------------
+    # Types are keyed by the package class key (``repro.runtime.errors
+    # .CorruptRewardError``) or the bare builtin name (``ValueError``).
+    # Ancestry is a *name* set — package class names merged with the
+    # builtin chain reached through unresolved base refs — so handler
+    # matching degrades gracefully (by trailing name) when a reference
+    # cannot be resolved precisely.
+    def resolve_exception(self, module: str, ref: str) -> Optional[str]:
+        """Type key for ``raise <ref>(...)``, or ``None`` if dynamic."""
+        cls = self.resolve_class(module, ref)
+        if cls is not None:
+            return cls.key
+        tail = ref.rsplit(".", 1)[-1]
+        if tail in BUILTIN_EXCEPTION_BASES:
+            return tail
+        return None
+
+    def exception_names(self, module: str, ref: str) -> Tuple[str, ...]:
+        """Names one ``except <ref>`` entry covers (tuples expanded)."""
+        resolved = self.resolve(module, ref)
+        for key in (resolved, f"{module}.{ref}"):
+            if key in self.exception_tuples:
+                return self.exception_tuples[key]
+        cls = self.resolve_class(module, ref)
+        if cls is not None:
+            return (cls.name,)
+        return (ref.rsplit(".", 1)[-1],)
+
+    def exception_ancestry(self, type_key: str) -> FrozenSet[str]:
+        """All class names an instance of ``type_key`` is."""
+        cached = self._ancestry_cache.get(type_key)
+        if cached is not None:
+            return cached
+        names: Set[str] = set()
+        cls = self.classes.get(type_key)
+        if cls is None:
+            _add_builtin_chain(names, type_key.rsplit(".", 1)[-1])
+        else:
+            for ancestor in self.mro(cls):
+                names.add(ancestor.name)
+                for base_ref in ancestor.base_refs:
+                    if self.resolve_class(ancestor.module,
+                                          base_ref) is None:
+                        _add_builtin_chain(names,
+                                           base_ref.rsplit(".", 1)[-1])
+        result = frozenset(names)
+        self._ancestry_cache[type_key] = result
+        return result
+
+
+def _add_builtin_chain(names: Set[str], name: str) -> None:
+    while name in BUILTIN_EXCEPTION_BASES:
+        names.add(name)
+        parent = BUILTIN_EXCEPTION_BASES[name]
+        if parent is None:
+            break
+        name = parent
+
+
+def _open_mode(call: ast.Call) -> str:
+    if len(call.args) > 1 and isinstance(call.args[1], ast.Constant) \
+            and isinstance(call.args[1].value, str):
+        return call.args[1].value
+    for keyword in call.keywords:
+        if keyword.arg == "mode" and isinstance(keyword.value,
+                                                ast.Constant) \
+                and isinstance(keyword.value.value, str):
+            return keyword.value.value
+    return "r"

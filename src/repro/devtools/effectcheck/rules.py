@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .index import ClassInfo, PackageIndex, dotted_name
-from .summaries import SELF, Effect, FunctionSummary
+from .summaries import Effect, FunctionSummary
 
 #: Methods that must carry an effect contract, by anchor class.  The
 #: ``Ranker`` entries are enforced on every concrete subclass (via MRO
@@ -68,20 +68,15 @@ class RuleContext:
     def build(cls, index: PackageIndex,
               summaries: Dict[str, FunctionSummary]) -> "RuleContext":
         ctx = cls(index=index, summaries=summaries)
-        ctx.ranker_cls = _class_named(index, "Ranker")
+        ctx.ranker_cls = index.class_named("Ranker")
         if ctx.ranker_cls is not None:
             for ranker in _concrete_rankers(index, ctx.ranker_cls):
                 ctx.protected_attrs |= _state_attrs(ctx, ranker)
         ctx.protected_attrs |= _ALWAYS_PROTECTED
-        snapshot = _class_named(index, "RankerSnapshot")
+        snapshot = index.class_named("RankerSnapshot")
         if snapshot is not None:
             ctx.captured_rng = _captured_rng_attrs(index, snapshot)
         return ctx
-
-
-def _class_named(index: PackageIndex, name: str) -> Optional[ClassInfo]:
-    matches = [c for c in index.classes.values() if c.name == name]
-    return matches[0] if len(matches) == 1 else None
 
 
 def _concrete_rankers(index: PackageIndex,
@@ -195,7 +190,7 @@ def _describe_effect(effect: Effect) -> str:
 def _check_missing_contracts(ctx: RuleContext) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     for anchor_name, methods in PROTOCOL_METHODS.items():
-        anchor = _class_named(ctx.index, anchor_name)
+        anchor = ctx.index.class_named(anchor_name)
         if anchor is None:
             continue
         targets = [anchor]
@@ -298,11 +293,11 @@ def check_fork_safety(ctx: RuleContext) -> List[Diagnostic]:
     reachable: Dict[str, ClassInfo] = {}
     frontier: List[ClassInfo] = []
     for name in POOL_SHIPPED_SEEDS:
-        cls = _class_named(ctx.index, name)
+        cls = ctx.index.class_named(name)
         if cls is not None:
             frontier.append(cls)
     for name in POOL_SHIPPED_BASES:
-        base = _class_named(ctx.index, name)
+        base = ctx.index.class_named(name)
         if base is not None:
             frontier.extend([base] + ctx.index.subclasses(base))
     while frontier:

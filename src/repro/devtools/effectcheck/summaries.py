@@ -1,13 +1,18 @@
-"""Per-function effect summaries and bottom-up propagation.
+"""Per-function summaries and bottom-up propagation.
 
-Every function in the indexed package gets a :class:`FunctionSummary`:
-the set of observable mutations it performs, each tracked back to a
-*root* — the ``self`` attribute or parameter through which the mutated
-object was reached — plus where the leaf write happens.  Summaries are
-first extracted intra-procedurally with local alias tracking (a write
-through ``row = self.covisits[prev]`` is a write of ``covisits``), then
-propagated bottom-up over the call graph to a fixed point, so callers
-inherit their callees' effects with the full call chain preserved.
+Every function in the indexed package gets a :class:`FunctionSummary`,
+the one fact record both effectcheck and faultcheck read.  It holds the
+set of observable mutations the function performs, each tracked back to
+a *root* — the ``self`` attribute or parameter through which the mutated
+object was reached — plus where the leaf write happens, and the
+function's fault-path facts: its escaping raise set, its ``try`` blocks
+with summarized handlers, its concurrency operations and the functions
+it hands to ``Process(target=...)``.  Summaries are first extracted
+intra-procedurally with local alias tracking (a write through
+``row = self.covisits[prev]`` is a write of ``covisits``), then
+propagated bottom-up over the call graph to one fixed point, so callers
+inherit their callees' effects and escaping raises with the full call
+chain preserved.
 
 Recognized mutation forms:
 
@@ -24,6 +29,18 @@ Unresolvable method calls fall back to class-hierarchy analysis (union
 over every indexed class defining that method); calls on provably fresh
 objects (results of constructors or allocating NumPy calls) are
 discarded, which keeps e.g. ``InteractionLog.copy`` pure.
+
+A raise set holds every ``raise SomeError(...)`` whose class resolves
+statically (to a package class or a builtin) and that no enclosing
+``except`` absorbs, plus every such callee raise that escapes the
+``try`` blocks around the call site.  Dynamic re-raises (``raise err``)
+and raises inside nested functions are out of scope: the taxonomy
+classes all flow through first-class ``raise Class(...)`` statements.
+Handler subtraction is deliberately absorbing: a handler that matches
+an exception type swallows it unless it *always* re-raises (top-level
+bare ``raise``) or its ``isinstance`` gate names the type.  A handler
+that conditionally re-raises has made a classification decision;
+REP013 separately polices that the decision never launders host errors.
 """
 
 from __future__ import annotations
@@ -59,6 +76,16 @@ MUTATOR_METHODS = {"append", "extend", "insert", "remove", "clear",
 #: ``np.<name>(target, ...)`` functions mutating their first argument.
 NP_INPLACE_FIRST_ARG = {"copyto", "put", "place", "fill_diagonal"}
 
+#: Call targets recognized as thread/process creation (REP015).
+SPAWN_FACTORIES = {"Thread", "Process", "Pool", "ThreadPoolExecutor",
+                   "ProcessPoolExecutor", "Popen", "Timer"}
+
+#: Dotted stdlib calls that fork (REP015).
+FORK_CALLS = {"os.fork", "os.forkpty"}
+
+#: Receivers that are fds owned by the parent process (REP015).
+PARENT_FD_RECEIVERS = {"sys.stdin", "sys.stdout", "sys.stderr"}
+
 
 @dataclass(frozen=True)
 class Effect:
@@ -78,6 +105,58 @@ class Effect:
         return (self.kind, self.root, self.attr)
 
 
+@dataclass(frozen=True)
+class RaiseFact:
+    """One exception type escaping a function, with its origin chain."""
+
+    type_key: str                 # package class key or builtin name
+    name: str                     # trailing class name
+    path: str
+    line: int
+    chain: Tuple[str, ...] = ()   # caller frames, outermost first
+
+    @property
+    def key(self) -> Tuple[str, str, int]:
+        """Deduplication key within one function's raise set."""
+        return (self.type_key, self.path, self.line)
+
+
+@dataclass(frozen=True)
+class Handler:
+    """One summarized ``except`` clause."""
+
+    #: Trailing names of the caught types, tuple aliases expanded;
+    #: empty together with ``bare=True`` for ``except:``.
+    covers: Tuple[str, ...]
+    bare: bool
+    line: int
+    #: Unconditional top-level bare ``raise``: everything passes through.
+    transparent: bool
+    #: Type names re-raised via ``if isinstance(err, T): raise`` gates.
+    gate: Tuple[str, ...]
+    #: The pool-worker pattern: the caught error is shipped out through
+    #: a call (``conn.send((.., error, ..))``) and the handler raises
+    #: ``SystemExit`` — classification happens on the receiving side.
+    ships: bool
+
+
+@dataclass(frozen=True, eq=False)
+class TryFrame:
+    """One ``try`` statement and its summarized handler clauses."""
+
+    node: ast.Try
+    handlers: Tuple[Handler, ...]
+
+
+@dataclass(frozen=True)
+class OpSite:
+    """One concurrency-protocol-relevant operation (REP015)."""
+
+    kind: str   # "signal_reset" | "signal_install" | "spawn" | "parent_fd"
+    line: int
+    detail: str
+
+
 @dataclass
 class CallSite:
     """One resolved call edge inside a function body."""
@@ -86,17 +165,29 @@ class CallSite:
     receiver_roots: Optional[FrozenSet[Root]]
     argmaps: Dict[str, Dict[str, FrozenSet[Root]]]  # callee key -> map
     line: int
+    #: The ``try`` statements whose body holds the call, outermost first.
+    frames: Tuple[TryFrame, ...] = ()
 
 
 @dataclass
 class FunctionSummary:
-    """Inferred effects plus call/alias facts for one function."""
+    """Effects, raises, call/alias and fault facts of one function."""
 
     fn: FunctionInfo
     effects: Dict[Tuple[str, Root, Optional[str]], Effect] = \
         field(default_factory=dict)
     returns_aliases: FrozenSet[Root] = frozenset()
     call_sites: List[CallSite] = field(default_factory=list)
+    #: Exception types escaping the function, its own raises first.
+    raises: Dict[Tuple[str, str, int], RaiseFact] = \
+        field(default_factory=dict)
+    #: Every ``try`` statement in the body, in source order.
+    try_blocks: List[TryFrame] = field(default_factory=list)
+    ops: List[OpSite] = field(default_factory=list)
+    #: Signal names reset (SIG_DFL/SIG_IGN) at the function's top level.
+    resets: Set[str] = field(default_factory=set)
+    #: Function keys passed as ``target=`` to a ``Process(...)`` call.
+    process_targets: List[str] = field(default_factory=list)
 
     def add(self, effect: Effect) -> bool:
         """Record ``effect`` unless an equivalent one is already known."""
@@ -128,6 +219,13 @@ class _Analyzer:
             index.merged_attr_types(fn.cls) if fn.cls else {})
         self._site_cache: Dict[int, Optional[CallSite]] = {}
         self._returns: Set[Root] = set()
+        #: The ``try`` statements enclosing the current one.
+        self.frames: Tuple[TryFrame, ...] = ()
+        #: Set while a loop body is walked a second time, whose fault
+        #: facts the first walk already recorded.
+        self.replay = False
+        self._top_level_calls = {id(stmt.value) for stmt in fn.node.body
+                                 if isinstance(stmt, ast.Expr)}
 
     # ------------------------------------------------------------------
     def run(self) -> FunctionSummary:
@@ -169,32 +267,39 @@ class _Analyzer:
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 self._write_target(target, stmt, "del")
-        elif isinstance(stmt, ast.For):
-            self._bind_target(stmt.target, self._roots(stmt.iter), stmt)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            if not isinstance(stmt, ast.While):
+                self._bind_target(stmt.target, self._roots(stmt.iter), stmt)
             # Two passes so aliases established late in the body are seen
             # by mutations earlier in the next iteration.
             self._statements(stmt.body)
+            replay, self.replay = self.replay, True
             self._statements(stmt.body)
-            self._statements(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self._statements(stmt.body)
-            self._statements(stmt.body)
+            self.replay = replay
             self._statements(stmt.orelse)
         elif isinstance(stmt, ast.If):
             self._statements(stmt.body)
             self._statements(stmt.orelse)
-        elif isinstance(stmt, ast.With):
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 if item.optional_vars is not None:
                     self._bind_target(item.optional_vars,
                                       self._roots(item.context_expr), stmt)
             self._statements(stmt.body)
         elif isinstance(stmt, ast.Try):
+            frame = TryFrame(stmt, tuple(self._handler(handler)
+                                         for handler in stmt.handlers))
+            if not self.replay:
+                self.summary.try_blocks.append(frame)
+            outer, self.frames = self.frames, self.frames + (frame,)
             self._statements(stmt.body)
+            self.frames = outer
             for handler in stmt.handlers:
                 self._statements(handler.body)
             self._statements(stmt.orelse)
             self._statements(stmt.finalbody)
+        elif isinstance(stmt, ast.Raise):
+            self._raise(stmt)
 
     def _scan_own_expressions(self, stmt: ast.stmt) -> None:
         """Handle calls/yields in the statement's own expressions."""
@@ -293,6 +398,8 @@ class _Analyzer:
     # Calls
     # ------------------------------------------------------------------
     def _call(self, node: ast.Call) -> None:
+        if not self.replay:
+            self._classify_op(node)
         site = self._resolve_site(node)
         func = node.func
         if isinstance(func, ast.Attribute):
@@ -395,7 +502,8 @@ class _Analyzer:
         return CallSite(callees=tuple(c.key for c in callees),
                         receiver_roots=receiver_roots,
                         argmaps=argmaps,
-                        line=node.lineno)
+                        line=node.lineno,
+                        frames=self.frames)
 
     def _resolve_super(self, method: str) -> List[FunctionInfo]:
         if self.fn.cls is None:
@@ -463,6 +571,159 @@ class _Analyzer:
                     param_names():
                 mapping[keyword.arg] = self._roots(keyword.value)
         return mapping
+
+    # ------------------------------------------------------------------
+    # Fault facts
+    # ------------------------------------------------------------------
+    def _raise(self, stmt: ast.Raise) -> None:
+        exc = stmt.exc
+        if exc is None:
+            return                            # bare re-raise: transparent
+        ref = dotted_name(exc.func if isinstance(exc, ast.Call) else exc)
+        if ref is None:
+            return
+        type_key = self.index.resolve_exception(self.fn.module, ref)
+        if type_key is None:
+            return                            # ``raise err``: dynamic
+        if escapes(self.index, type_key, self.frames):
+            raised = RaiseFact(type_key=type_key,
+                               name=type_key.rsplit(".", 1)[-1],
+                               path=self.fn.path, line=stmt.lineno)
+            self.summary.raises[raised.key] = raised
+
+    def _exception_names(self, expr: ast.expr) -> List[str]:
+        """Names an ``except``/``isinstance`` type expression covers."""
+        elements = expr.elts if isinstance(expr, ast.Tuple) else [expr]
+        names: List[str] = []
+        for element in elements:
+            ref = dotted_name(element)
+            if ref is not None:
+                names.extend(self.index.exception_names(self.fn.module,
+                                                        ref))
+        return names
+
+    def _handler(self, node: ast.ExceptHandler) -> Handler:
+        covers = () if node.type is None else \
+            tuple(self._exception_names(node.type))
+        transparent = any(isinstance(stmt, ast.Raise) and stmt.exc is None
+                          for stmt in node.body)
+        return Handler(covers=covers, bare=node.type is None,
+                       line=node.lineno, transparent=transparent,
+                       gate=self._gate_names(node),
+                       ships=self._ships_and_exits(node))
+
+    def _gate_names(self, node: ast.ExceptHandler) -> Tuple[str, ...]:
+        """Types re-raised through ``if isinstance(err, T): raise``."""
+        if node.name is None:
+            return ()
+        gate: List[str] = []
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.If)
+                    and isinstance(stmt.test, ast.Call)
+                    and isinstance(stmt.test.func, ast.Name)
+                    and stmt.test.func.id == "isinstance"
+                    and len(stmt.test.args) == 2
+                    and isinstance(stmt.test.args[0], ast.Name)
+                    and stmt.test.args[0].id == node.name):
+                continue
+            if any(isinstance(inner, ast.Raise) and inner.exc is None
+                   for inner in stmt.body):
+                gate.extend(self._exception_names(stmt.test.args[1]))
+        return tuple(gate)
+
+    @staticmethod
+    def _ships_and_exits(node: ast.ExceptHandler) -> bool:
+        """The worker pattern: error shipped out, then ``SystemExit``."""
+        if node.name is None:
+            return False
+        shipped = False
+        exits = False
+        for stmt in node.body:
+            for inner in ast.walk(stmt):
+                if isinstance(inner, ast.Call):
+                    for arg in ast.walk(inner):
+                        if isinstance(arg, ast.Name) \
+                                and arg.id == node.name \
+                                and arg is not inner.func:
+                            shipped = True
+                if isinstance(inner, ast.Raise) and inner.exc is not None:
+                    target = inner.exc.func \
+                        if isinstance(inner.exc, ast.Call) else inner.exc
+                    if dotted_name(target) == "SystemExit":
+                        exits = True
+        return shipped and exits
+
+    def _classify_op(self, node: ast.Call) -> None:
+        """Record signal, spawn and parent-fd operations (REP015)."""
+        func = node.func
+        ref = dotted_name(func)
+        dotted = self._stdlib_target(ref)
+        ops = self.summary.ops
+        if dotted == "signal.signal":
+            self._signal_call(node)
+            return
+        if dotted in FORK_CALLS:
+            ops.append(OpSite("spawn", node.lineno, f"{dotted}()"))
+            return
+        terminal = ref.rsplit(".", 1)[-1] if ref else None
+        if terminal in SPAWN_FACTORIES \
+                and self.index.resolve_class(self.fn.module,
+                                             ref or "") is None:
+            ops.append(OpSite("spawn", node.lineno,
+                              f"{terminal}(...) constructor"))
+            if terminal == "Process":
+                self._process_target(node)
+            return
+        if isinstance(func, ast.Attribute):
+            receiver = dotted_name(func.value)
+            if receiver is not None \
+                    and self._stdlib_target(receiver) \
+                    in PARENT_FD_RECEIVERS:
+                ops.append(OpSite("parent_fd", node.lineno,
+                                  f"{receiver}.{func.attr}()"))
+        elif isinstance(func, ast.Name) and func.id == "input":
+            ops.append(OpSite("parent_fd", node.lineno, "input()"))
+
+    def _stdlib_target(self, ref: Optional[str]) -> Optional[str]:
+        """Map ``sig.signal`` through the module's import table."""
+        if ref is None:
+            return None
+        head, _, rest = ref.partition(".")
+        target = self.index.modules[self.fn.module].imports.get(head)
+        if target is None:
+            return ref
+        return f"{target}.{rest}" if rest else target
+
+    def _signal_call(self, node: ast.Call) -> None:
+        signame = None
+        if node.args:
+            sig_ref = dotted_name(node.args[0])
+            if sig_ref:
+                signame = sig_ref.rsplit(".", 1)[-1]
+        handler_ref = dotted_name(node.args[1]) if len(node.args) > 1 \
+            else None
+        tail = handler_ref.rsplit(".", 1)[-1] if handler_ref else None
+        shown = signame or "?"
+        if tail not in ("SIG_DFL", "SIG_IGN"):
+            self.summary.ops.append(OpSite(
+                "signal_install", node.lineno,
+                f"signal.signal({shown}, ...)"))
+            return
+        self.summary.ops.append(OpSite(
+            "signal_reset", node.lineno, f"signal.signal({shown}, {tail})"))
+        if signame is not None and id(node) in self._top_level_calls:
+            self.summary.resets.add(signame)
+
+    def _process_target(self, node: ast.Call) -> None:
+        for keyword in node.keywords:
+            if keyword.arg != "target":
+                continue
+            ref = dotted_name(keyword.value)
+            if ref is None:
+                continue
+            resolved = self.index.resolve_function(self.fn.module, ref)
+            if resolved is not None:
+                self.summary.process_targets.append(resolved.key)
 
     # ------------------------------------------------------------------
     # Alias roots
@@ -569,13 +830,32 @@ class _Analyzer:
 MAX_CHAIN = 10
 
 
+def escapes(index: PackageIndex, type_key: str,
+            frames: Sequence[TryFrame]) -> bool:
+    """Whether ``type_key`` raised in the body of ``frames`` leaves them.
+
+    It does unless some frame's first matching handler absorbs it: one
+    that neither re-raises unconditionally nor names it in an
+    ``isinstance`` gate.
+    """
+    ancestry = index.exception_ancestry(type_key)
+    for frame in frames:
+        for handler in frame.handlers:
+            if handler.bare or set(handler.covers) & ancestry:
+                if not handler.transparent \
+                        and not set(handler.gate) & ancestry:
+                    return False              # absorbed (classified here)
+                break
+    return True
+
+
 def build_summaries(index: PackageIndex) -> Dict[str, FunctionSummary]:
-    """Extract and propagate effect summaries for the whole package.
+    """Extract and propagate summaries for the whole package.
 
     Two extraction passes (the second sees every function's return-alias
     facts, so cross-module helpers like ``iter_sequences`` alias
-    correctly), then a fixed-point walk pushing callee effects into
-    callers with call-chain frames attached.
+    correctly), then one fixed point pushing callee effects and escaping
+    raises into callers with call-chain frames attached.
     """
     alias_table: Dict[str, FrozenSet[Root]] = {}
     summaries: Dict[str, FunctionSummary] = {}
@@ -590,47 +870,45 @@ def build_summaries(index: PackageIndex) -> Dict[str, FunctionSummary]:
     return summaries
 
 
-def _relpath(index: PackageIndex, path: str) -> str:
-    try:
-        from pathlib import Path
-        return str(Path(path).relative_to(index.root.parent))
-    except ValueError:
-        return path
-
-
 def _propagate(index: PackageIndex,
                summaries: Dict[str, FunctionSummary]) -> None:
+    """Bottom-up fixed point over every call site.
+
+    The visiting order (summaries, call sites, callees, callee facts)
+    decides which chain is found first for a key, and the first one is
+    the one reported.
+    """
     changed = True
     while changed:
         changed = False
-        for summary in summaries.values():
-            for site in summary.call_sites:
+        for caller in summaries.values():
+            where = f"{caller.fn.qualname} ({index.relpath(caller.fn.path)}"
+            for site in caller.call_sites:
+                frame = f"{where}:{site.line})"
                 for callee_key in site.callees:
                     callee = summaries.get(callee_key)
                     if callee is None:
                         continue
-                    if _inherit(index, summary, site, callee):
+                    argmap = site.argmaps.get(callee_key, {})
+                    for effect in list(callee.effects.values()):
+                        if len(effect.chain) >= MAX_CHAIN:
+                            continue
+                        for root in _Analyzer._map_callee_root(
+                                effect.root, site, argmap):
+                            if caller.add(Effect(
+                                    kind=effect.kind, root=root,
+                                    attr=effect.attr, path=effect.path,
+                                    line=effect.line, detail=effect.detail,
+                                    chain=(frame,) + effect.chain)):
+                                changed = True
+                    for raised in list(callee.raises.values()):
+                        if len(raised.chain) >= MAX_CHAIN \
+                                or raised.key in caller.raises \
+                                or not escapes(index, raised.type_key,
+                                               site.frames):
+                            continue
+                        caller.raises[raised.key] = RaiseFact(
+                            type_key=raised.type_key, name=raised.name,
+                            path=raised.path, line=raised.line,
+                            chain=(frame,) + raised.chain)
                         changed = True
-
-
-def _inherit(index: PackageIndex, caller: FunctionSummary, site: CallSite,
-             callee: FunctionSummary) -> bool:
-    changed = False
-    argmap = site.argmaps.get(callee.fn.key, {})
-    frame = (f"{caller.fn.qualname} "
-             f"({_relpath(index, caller.fn.path)}:{site.line})")
-    for effect in list(callee.effects.values()):
-        if len(effect.chain) >= MAX_CHAIN:
-            continue
-        mapped_site = CallSite(callees=site.callees,
-                               receiver_roots=site.receiver_roots,
-                               argmaps=site.argmaps, line=site.line)
-        for root in _Analyzer._map_callee_root(effect.root, mapped_site,
-                                               argmap):
-            inherited = Effect(kind=effect.kind, root=root,
-                               attr=effect.attr, path=effect.path,
-                               line=effect.line, detail=effect.detail,
-                               chain=(frame,) + effect.chain)
-            if caller.add(inherited):
-                changed = True
-    return changed

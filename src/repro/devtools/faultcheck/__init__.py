@@ -1,8 +1,11 @@
 """faultcheck: cross-procedural exception-flow & fork-protocol analyzer.
 
-Statically proves the serve layer's fault-tolerance invariants over the
-same :class:`~repro.devtools.effectcheck.index.PackageIndex` and
-bottom-up fixed-point machinery effectcheck uses for purity:
+Statically proves the serve layer's fault-tolerance invariants as a
+rule table over the same analysis effectcheck runs — one
+:class:`~repro.devtools.effectcheck.index.PackageIndex` and one set of
+per-function summaries, whose walk also records raise sites, ``try``
+blocks with summarized handlers, and concurrency operations, and whose
+fixed point propagates escaping raise sets alongside effects:
 
 * **REP013** — no taxonomy laundering: broad handlers re-raise
   ``HOST_ERRORS`` (MemoryError/SystemError/RecursionError);
@@ -21,22 +24,13 @@ planted-bug end-to-end check).  Stdlib-only: the analyzed package is
 parsed, never imported.
 """
 
-from .cli import analyze_package, default_root, main, run_self_test
-from .flows import (ExceptionTable, FaultFacts, RaiseFact, extract_facts,
-                    propagate_raises, reachability)
-from .rules import FaultContext, check_all
+from .cli import analyze_package, main
+from .rules import FaultContext, check_all, reachability
 
 __all__ = [
-    "ExceptionTable",
     "FaultContext",
-    "FaultFacts",
-    "RaiseFact",
     "analyze_package",
     "check_all",
-    "default_root",
-    "extract_facts",
     "main",
-    "propagate_raises",
     "reachability",
-    "run_self_test",
 ]

@@ -8,111 +8,34 @@ Usage::
     python -m repro.devtools.faultcheck --self-test     # planted-bug
                                                         # end-to-end check
 
-A diagnostic can be silenced with a trailing comment on any physical
-line of the offending statement::
+The options, output formats and suppression comments are effectcheck's
+(:func:`repro.devtools.effectcheck.cli.run` drives both), with the
+``# faultcheck: disable=REP013`` marker.
 
-    except Exception:  # faultcheck: disable=REP013
-
-``# faultcheck: disable`` (no rule ids) silences every rule there.
-
-``--self-test`` proves the analyzer end-to-end without executing any
-repro code: it copies the analyzed tree and plants the two historical
-fault-path bugs this tool exists to prevent — it widens the supervised
+``--self-test`` copies the analyzed tree and plants the two historical
+fault-path bugs this tool exists to prevent: it widens the supervised
 handler in ``CampaignScheduler._run_slice`` to swallow ``MemoryError``
 (deleting the isinstance-HOST_ERRORS re-raise gate) and deletes the
 inherited-signal resets at the top of the pool worker entry
-``_worker_main`` (the PR 6 leaked-worker bug).  The doctored copy must
-fail with a REP013 at the exact handler line (call chain through
+``_worker_main`` (the leaked-worker bug).  The doctored copy must fail
+with a REP013 at the exact handler line (call chain through
 ``CampaignScheduler.run``) and a REP015 at the worker entry (provenance
-chain naming ``DrainController.install``).  Because a successful
-self-test by construction *finds* both planted bugs, it exits
-``EXIT_FINDINGS`` (1); a miss is an analyzer defect and exits
-``EXIT_INTERNAL`` (2).
+chain naming ``DrainController.install``); the self-test then exits
+``0``, and ``2`` on a miss.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import shutil
 import sys
-import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..common import (EXIT_CLEAN, EXIT_FINDINGS, EXIT_INTERNAL,
-                      SuppressionFilter, describe_rules, display_path,
-                      exit_code, json_report, render_chain_text,
-                      rule_statistics)
-from ..effectcheck.index import PackageIndex
-from ..effectcheck.rules import Diagnostic
-from ..effectcheck.summaries import FunctionSummary, build_summaries
+from ..effectcheck import cli as effectcheck
+from ..effectcheck.cli import Plant, Tool, run
 from .rules import check_all
 
-_RULES = (
-    ("REP013", "no taxonomy laundering of host errors",
-     "handlers broad enough to catch MemoryError/SystemError/"
-     "RecursionError must re-raise them (the CampaignScheduler."
-     "_run_slice gate) or ship them out of process (the pool worker)"),
-    ("REP014", "taxonomy exhaustiveness on the query path",
-     "every statically-typed raise escaping the supervised query path "
-     "must map into the Transient/Fatal taxonomy (CampaignError), the "
-     "host triple, control-flow or contract exceptions"),
-    ("REP015", "fork-protocol safety",
-     "code reachable from a forked worker entry must not install "
-     "signal handlers, spawn threads/processes or touch parent fds; "
-     "the entry must reset inherited SIGTERM/SIGINT handlers"),
-    ("REP016", "journal torn-tail write protocol",
-     "self-stored open() journal handles are append-only, every write "
-     "is flushed in the same method, the class fsyncs the handle, and "
-     "nothing seeks or truncates it"),
-    ("REP017", "restore-on-raise consistency",
-     "a method that mutates ranker state inside a try must restore it "
-     "in any re-raising handler before the raise (the "
-     "RecommenderSystem.inject pattern)"),
-)
 
-
-def default_root() -> Path:
-    """The ``repro`` package directory this module is installed in."""
-    return Path(__file__).resolve().parents[2]
-
-
-def analyze_package(root: Path, package: str = "repro"
-                    ) -> Tuple[PackageIndex, Dict[str, FunctionSummary],
-                               List[Diagnostic]]:
-    """Index, summarize and fault-rule-check one package tree."""
-    index = PackageIndex(Path(root), package)
-    summaries = build_summaries(index)
-    filters = {module.path: SuppressionFilter("faultcheck",
-                                              module.source_lines,
-                                              module.tree)
-               for module in index.modules.values()}
-    diagnostics = []
-    for diag in check_all(index, summaries):
-        suppressions = filters.get(diag.path)
-        if suppressions is not None \
-                and suppressions.covers(diag.rule, diag.line):
-            continue
-        diagnostics.append(diag)
-    return index, summaries, diagnostics
-
-
-def _render_json(diagnostics: Sequence[Diagnostic],
-                 index: PackageIndex) -> str:
-    rows = [{"path": display_path(d.path), "line": d.line,
-             "rule": d.rule, "message": d.message, "chain": list(d.chain)}
-            for d in diagnostics]
-    statistics = rule_statistics(diagnostics,
-                                 [rule_id for rule_id, _, _ in _RULES])
-    return json_report(rows, statistics,
-                       modules_checked=len(index.modules),
-                       functions_analyzed=len(index.functions))
-
-
-# ----------------------------------------------------------------------
-# Planted-bug self-test
-# ----------------------------------------------------------------------
 def _delete_lines(path: Path, spans: Sequence[Tuple[int, int]]) -> None:
     """Remove the 1-based inclusive line spans from ``path``."""
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -158,7 +81,7 @@ def _plant_swallowed_host_error(root: Path) -> Tuple[Path, int]:
 
 
 def _plant_deleted_signal_reset(root: Path) -> Tuple[Path, int]:
-    """Delete the worker's inherited-signal resets (the PR 6 bug).
+    """Delete the worker's inherited-signal resets.
 
     Removes every top-level ``signal.signal(..., SIG_DFL/SIG_IGN)``
     statement from ``_worker_main`` in ``perf/pool.py``.  Returns the
@@ -192,109 +115,58 @@ def _plant_deleted_signal_reset(root: Path) -> Tuple[Path, int]:
     return target, worker.lineno
 
 
-def run_self_test() -> int:
-    """Copy the tree, plant both historical bugs, require detection.
-
-    Returns ``EXIT_FINDINGS`` when both planted violations are caught
-    at their exact lines with the required call chains (the self-test
-    *is* a finding run), ``EXIT_INTERNAL`` when the analyzer misses.
-    """
-    source_root = default_root()
-    with tempfile.TemporaryDirectory(prefix="faultcheck-") as scratch:
-        copy_root = Path(scratch) / "repro"
-        shutil.copytree(source_root, copy_root,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        sched_path, handler_line = _plant_swallowed_host_error(copy_root)
-        pool_path, entry_line = _plant_deleted_signal_reset(copy_root)
-        _, _, diagnostics = analyze_package(copy_root)
-        swallowed = [d for d in diagnostics
-                     if d.path == str(sched_path)
-                     and d.line == handler_line and d.rule == "REP013"]
-        swallowed_chained = [
-            d for d in swallowed
-            if any("CampaignScheduler.run" in frame for frame in d.chain)]
-        unreset = [d for d in diagnostics
-                   if d.path == str(pool_path)
-                   and d.line == entry_line and d.rule == "REP015"]
-        unreset_chained = [
-            d for d in unreset
-            if any("DrainController.install" in frame
-                   for frame in d.chain)]
-        if swallowed_chained and unreset_chained:
-            print("faultcheck --self-test: both planted bugs caught — "
-                  f"swallowed MemoryError at scheduler.py:{handler_line} "
-                  "(chain through CampaignScheduler.run), missing signal "
-                  f"reset at pool.py:{entry_line} (provenance chain "
-                  "through DrainController.install)", file=sys.stderr)
-            render_chain_text(swallowed_chained + unreset_chained)
-            return EXIT_FINDINGS
-        print("faultcheck --self-test: FAILED — "
-              f"scheduler.py:{handler_line} REP013 "
-              f"(found={len(swallowed)}, chained={len(swallowed_chained)}"
-              f"), pool.py:{entry_line} REP015 (found={len(unreset)}, "
-              f"chained={len(unreset_chained)})", file=sys.stderr)
-        render_chain_text(diagnostics)
-        return EXIT_INTERNAL
+TOOL = Tool(
+    name="faultcheck",
+    description="cross-procedural exception-flow and fork-protocol "
+                "verification",
+    rules=(
+        ("REP013", "no taxonomy laundering of host errors",
+         "handlers broad enough to catch MemoryError/SystemError/"
+         "RecursionError must re-raise them (the CampaignScheduler."
+         "_run_slice gate) or ship them out of process (the pool "
+         "worker)"),
+        ("REP014", "taxonomy exhaustiveness on the query path",
+         "every statically-typed raise escaping the supervised query "
+         "path must map into the Transient/Fatal taxonomy "
+         "(CampaignError), the host triple, control-flow or contract "
+         "exceptions"),
+        ("REP015", "fork-protocol safety",
+         "code reachable from a forked worker entry must not install "
+         "signal handlers, spawn threads/processes or touch parent fds; "
+         "the entry must reset inherited SIGTERM/SIGINT handlers"),
+        ("REP016", "journal torn-tail write protocol",
+         "self-stored open() journal handles are append-only, every "
+         "write is flushed in the same method, the class fsyncs the "
+         "handle, and nothing seeks or truncates it"),
+        ("REP017", "restore-on-raise consistency",
+         "a method that mutates ranker state inside a try must restore "
+         "it in any re-raising handler before the raise (the "
+         "RecommenderSystem.inject pattern)"),
+    ),
+    check=check_all,
+    count_key="functions_analyzed",
+    plants=(
+        Plant("REP013", _plant_swallowed_host_error,
+              ("CampaignScheduler.run",)),
+        Plant("REP015", _plant_deleted_signal_reset,
+              ("DrainController.install",)),
+    ),
+)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.faultcheck",
-        description="faultcheck: cross-procedural exception-flow and "
-                    "fork-protocol verification")
-    parser.add_argument("--root", default=None,
-                        help="package directory to analyze "
-                             "(default: the installed repro package)")
-    parser.add_argument("--package", default="repro",
-                        help="dotted package name of --root")
-    parser.add_argument("--rules", action="store_true",
-                        help="describe every rule and exit")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text",
-                        help="output format (json suppresses the human "
-                             "report; exit codes are unchanged)")
-    parser.add_argument("--statistics", action="store_true",
-                        help="print per-rule diagnostic counts")
-    parser.add_argument("--self-test", action="store_true",
-                        help="plant a swallowed MemoryError and a "
-                             "deleted worker signal reset in a copy of "
-                             "the source and require exact-line, "
-                             "call-chained detection of both (exits 1 "
-                             "on success: the planted bugs are found)")
-    args = parser.parse_args(argv)
-    if args.rules:
-        describe_rules(_RULES)
-        return EXIT_CLEAN
-    if args.self_test:
-        return run_self_test()
-    root = Path(args.root) if args.root else default_root()
-    if not root.is_dir():
-        print(f"faultcheck: no such directory: {root}", file=sys.stderr)
-        return EXIT_INTERNAL
-    index, summaries, diagnostics = analyze_package(root, args.package)
-    if index.errors:
-        for error in index.errors:
-            print(f"faultcheck: {error}", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.format == "json":
-        print(_render_json(diagnostics, index))
-        return exit_code(diagnostics)
-    render_chain_text(diagnostics)
-    if args.statistics:
-        counts = rule_statistics(diagnostics,
-                                 [rule_id for rule_id, _, _ in _RULES])
-        for rule_id, count in sorted(counts.items()):
-            print(f"{rule_id}  {count}")
-    if diagnostics:
-        files = len({d.path for d in diagnostics})
-        print(f"faultcheck: {len(diagnostics)} error(s) in {files} "
-              f"file(s) ({len(index.modules)} modules, "
-              f"{len(index.functions)} functions)", file=sys.stderr)
-        return EXIT_FINDINGS
-    print(f"faultcheck: clean ({len(index.modules)} modules, "
-          f"{len(index.functions)} functions analyzed)", file=sys.stderr)
-    return EXIT_CLEAN
+def analyze_package(root: Path):
+    """Index, summarize and fault-rule-check one package tree."""
+    return effectcheck.analyze_package(root, (TOOL,))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """faultcheck CLI entry point; returns the process exit code."""
+    return run((TOOL,), argv)
+
+
+def main_with_effects(argv: Optional[Sequence[str]] = None) -> int:
+    """effectcheck then faultcheck over one analysis (``repro check``)."""
+    return run((effectcheck.TOOL, TOOL), argv)
 
 
 if __name__ == "__main__":

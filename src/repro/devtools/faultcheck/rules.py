@@ -20,12 +20,13 @@ REP016            journal write protocol: self-stored ``open`` handles
                   method, the class fsyncs the handle, and nothing
                   seeks/truncates it
 REP017            a function that mutates ranker state inside a ``try``
-                  (per effectcheck summaries) must restore it in any
+                  (per the summaries' call sites) must restore it in any
                   re-raising handler before the raise
 ================  =====================================================
 
-Diagnostics reuse effectcheck's :class:`Diagnostic` (path/line/rule/
-message plus a call chain), so both analyzers render identically.
+The rules read the same :class:`FunctionSummary` records effectcheck
+does, and reuse its :class:`Diagnostic` (path/line/rule/message plus a
+call chain), so both analyzers render identically.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..effectcheck.index import ClassInfo, PackageIndex, dotted_name
 from ..effectcheck.rules import Diagnostic
-from ..effectcheck.summaries import FunctionSummary
-from .flows import (HOST_ERROR_NAMES, ExceptionTable, FaultFacts, Handler,
-                    extract_facts, propagate_raises, reachability, relpath)
+from ..effectcheck.summaries import (MAX_CHAIN, FunctionSummary, Handler,
+                                     TryFrame)
+
+#: The host-fault triple the serve layer must never classify away.
+HOST_ERROR_NAMES = ("MemoryError", "SystemError", "RecursionError")
 
 #: Entry points of the supervised query path (class name, method name):
 #: the agent's training loop, the fleet scheduler's drive loop, the
@@ -75,14 +78,10 @@ RESTORE_METHODS = frozenset({"restore", "poison_revert"})
 
 @dataclass
 class FaultContext:
-    """Everything the five rules consume, built once per analysis."""
+    """The entry points the five rules start from, resolved once."""
 
     index: PackageIndex
     summaries: Dict[str, FunctionSummary]
-    table: ExceptionTable
-    facts: Dict[str, FaultFacts]
-    raise_table: Dict[str, Dict[Tuple[str, str, int], "object"]] = \
-        field(default_factory=dict)
     entries: Tuple[str, ...] = ()
     #: fn key -> chain from a query-path entry (provenance for REP013).
     query_reach: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -92,15 +91,11 @@ class FaultContext:
     @classmethod
     def build(cls, index: PackageIndex,
               summaries: Dict[str, FunctionSummary]) -> "FaultContext":
-        """Extract facts, propagate raise sets, resolve entry points."""
-        table = ExceptionTable(index)
-        facts = extract_facts(index, table)
-        ctx = cls(index=index, summaries=summaries, table=table,
-                  facts=facts)
-        ctx.raise_table = propagate_raises(index, summaries, facts, table)
+        """Resolve the query-path and forked-worker entry points."""
+        ctx = cls(index=index, summaries=summaries)
         entries: List[str] = []
         for class_name, method in QUERY_PATH_ENTRIES:
-            owner = _class_named(index, class_name)
+            owner = index.class_named(class_name)
             if owner is None:
                 continue
             fn = index.find_method(owner, method)
@@ -109,14 +104,40 @@ class FaultContext:
         ctx.entries = tuple(entries)
         ctx.query_reach = reachability(index, summaries, entries)
         ctx.fork_entries = tuple(sorted(
-            {target for fact in facts.values()
-             for target in fact.process_targets}))
+            {target for summary in summaries.values()
+             for target in summary.process_targets}))
         return ctx
 
 
-def _class_named(index: PackageIndex, name: str) -> Optional[ClassInfo]:
-    matches = [c for c in index.classes.values() if c.name == name]
-    return matches[0] if len(matches) == 1 else None
+def reachability(index: PackageIndex,
+                 summaries: Dict[str, FunctionSummary],
+                 entries: Sequence[str]) -> Dict[str, Tuple[str, ...]]:
+    """BFS call closure from ``entries``: fn key -> chain from an entry.
+
+    The chain holds one ``qualname (path:line)`` frame per hop,
+    outermost first; entries map to the empty chain.
+    """
+    reach: Dict[str, Tuple[str, ...]] = {key: () for key in entries
+                                         if key in summaries}
+    queue: List[str] = list(reach)
+    while queue:
+        key = queue.pop(0)
+        summary = summaries.get(key)
+        if summary is None:
+            continue
+        chain = reach[key]
+        if len(chain) >= MAX_CHAIN:
+            continue
+        frame = (f"{summary.fn.qualname} "
+                 f"({index.relpath(summary.fn.path)}")
+        for site in summary.call_sites:
+            hop = f"{frame}:{site.line})"
+            for callee_key in site.callees:
+                if callee_key in reach:
+                    continue
+                reach[callee_key] = chain + (hop,)
+                queue.append(callee_key)
+    return reach
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +159,9 @@ def _host_coverage(handler: Handler) -> Set[str]:
 def check_host_laundering(ctx: FaultContext) -> List[Diagnostic]:
     """REP013: broad handlers must re-raise the host-error triple."""
     diagnostics: List[Diagnostic] = []
-    for key, fact in ctx.facts.items():
-        for handler in fact.handlers:
+    for key, summary in ctx.summaries.items():
+        for handler in (handler for frame in summary.try_blocks
+                        for handler in frame.handlers):
             covered = _host_coverage(handler)
             if not covered:
                 continue
@@ -151,8 +173,8 @@ def check_host_laundering(ctx: FaultContext) -> List[Diagnostic]:
             what = "bare except" if handler.bare else \
                 "except " + "/".join(handler.covers or ("?",))
             diagnostics.append(Diagnostic(
-                path=fact.fn.path, line=handler.line, rule="REP013",
-                message=(f"'{fact.fn.qualname}' {what} can swallow "
+                path=summary.fn.path, line=handler.line, rule="REP013",
+                message=(f"'{summary.fn.qualname}' {what} can swallow "
                          f"{'/'.join(swallowed)}; a sick host is not a "
                          f"campaign-local fault — re-raise HOST_ERRORS "
                          f"(the CampaignScheduler._run_slice pattern)"),
@@ -171,8 +193,9 @@ def check_taxonomy(ctx: FaultContext) -> List[Diagnostic]:
         summary = ctx.summaries.get(entry_key)
         if summary is None:
             continue
-        for raised in ctx.raise_table.get(entry_key, {}).values():
-            if ctx.table.ancestry(raised.type_key) & _ALLOWED_ANCESTRY:
+        for raised in summary.raises.values():
+            if ctx.index.exception_ancestry(raised.type_key) \
+                    & _ALLOWED_ANCESTRY:
                 continue
             dedup = (raised.path, raised.line, raised.name)
             if dedup in seen:
@@ -197,13 +220,13 @@ def check_taxonomy(ctx: FaultContext) -> List[Diagnostic]:
 def _installer_frames(ctx: FaultContext) -> Tuple[str, ...]:
     """Provenance: in-package signal installers workers would inherit."""
     frames: List[str] = []
-    for fact in ctx.facts.values():
-        for op in fact.ops:
+    for summary in ctx.summaries.values():
+        for op in summary.ops:
             if op.kind != "signal_install":
                 continue
             frames.append(
-                f"{fact.fn.qualname} "
-                f"({relpath(ctx.index, fact.fn.path)}:{op.line}) "
+                f"{summary.fn.qualname} "
+                f"({ctx.index.relpath(summary.fn.path)}:{op.line}) "
                 f"installs {op.detail} — forked workers inherit it")
     return tuple(sorted(frames))
 
@@ -220,7 +243,7 @@ def check_fork_protocol(ctx: FaultContext) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     required = {"SIGTERM", "SIGINT"}
     for entry_key in ctx.fork_entries:
-        entry = ctx.facts.get(entry_key)
+        entry = ctx.summaries.get(entry_key)
         if entry is None:
             continue
         missing = sorted(required - entry.resets)
@@ -237,18 +260,18 @@ def check_fork_protocol(ctx: FaultContext) -> List[Diagnostic]:
                 chain=_installer_frames(ctx)))
         closure = reachability(ctx.index, ctx.summaries, [entry_key])
         for key, chain in sorted(closure.items()):
-            fact = ctx.facts.get(key)
-            if fact is None:
+            summary = ctx.summaries.get(key)
+            if summary is None:
                 continue
-            for op in fact.ops:
+            for op in summary.ops:
                 if op.kind == "signal_reset":
                     continue          # resets are always fork-safe
                 message = _OP_MESSAGES.get(op.kind)
                 if message is None:
                     continue
                 diagnostics.append(Diagnostic(
-                    path=fact.fn.path, line=op.line, rule="REP015",
-                    message=(f"'{fact.fn.qualname}' {message} "
+                    path=summary.fn.path, line=op.line, rule="REP015",
+                    message=(f"'{summary.fn.qualname}' {message} "
                              f"({op.detail}) in code reachable from the "
                              f"forked worker entry "
                              f"'{entry.fn.qualname}'; fork-side code "
@@ -260,18 +283,6 @@ def check_fork_protocol(ctx: FaultContext) -> List[Diagnostic]:
 # ----------------------------------------------------------------------
 # REP016: journal/JSONL torn-tail write protocol
 # ----------------------------------------------------------------------
-def _open_mode(call: ast.Call) -> str:
-    if len(call.args) > 1 and isinstance(call.args[1], ast.Constant) \
-            and isinstance(call.args[1].value, str):
-        return call.args[1].value
-    for keyword in call.keywords:
-        if keyword.arg == "mode" and isinstance(keyword.value,
-                                                ast.Constant) \
-                and isinstance(keyword.value.value, str):
-            return keyword.value.value
-    return "r"
-
-
 def _handle_calls(fn_node: ast.AST, receiver: str,
                   attr: str) -> List[Tuple[str, int, ast.Call]]:
     """``self.<attr>.<method>(...)`` calls inside one method body."""
@@ -296,24 +307,7 @@ def check_journal_protocol(ctx: FaultContext) -> List[Diagnostic]:
     """REP016: append-only, write->flush->fsync, no seek/truncate."""
     diagnostics: List[Diagnostic] = []
     for cls in ctx.index.classes.values():
-        handles: Dict[str, Tuple[str, int]] = {}
-        for fn in cls.methods.values():
-            receiver = fn.receiver_name()
-            if receiver is None:
-                continue
-            for node in ast.walk(fn.node):
-                if not (isinstance(node, ast.Assign)
-                        and isinstance(node.value, ast.Call)
-                        and isinstance(node.value.func, ast.Name)
-                        and node.value.func.id == "open"):
-                    continue
-                for target in node.targets:
-                    if isinstance(target, ast.Attribute) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id == receiver:
-                        handles[target.attr] = (_open_mode(node.value),
-                                                node.lineno)
-        for attr, (mode, open_line) in sorted(handles.items()):
+        for attr, (mode, open_line) in sorted(cls.open_handles.items()):
             writable = any(flag in mode for flag in "wax+")
             if writable and "a" not in mode:
                 diagnostics.append(Diagnostic(
@@ -386,29 +380,6 @@ def _ranker_attrs(ctx: FaultContext, cls: ClassInfo,
     return attrs
 
 
-def _mutates_receiver(ctx: FaultContext, cls: ClassInfo, attr: str,
-                      method: str) -> bool:
-    """Whether ``self.<attr>.<method>()`` writes the receiver's state."""
-    candidates = []
-    for type_key in ctx.index.merged_attr_types(cls).get(attr, set()):
-        type_cls = ctx.index.classes.get(type_key)
-        if type_cls is not None:
-            found = ctx.index.find_method(type_cls, method)
-            if found is not None:
-                candidates.append(found)
-    if not candidates:
-        candidates = [definer.methods[method]
-                      for definer in ctx.index.defining_classes(method)]
-    for fn in candidates:
-        summary = ctx.summaries.get(fn.key)
-        if summary is None:
-            continue
-        for effect in summary.effects.values():
-            if effect.kind == "write" and effect.root[0] == "self":
-                return True
-    return False
-
-
 def _restore_lines(body: Sequence[ast.stmt], receiver: str,
                    attrs: Set[str]) -> List[int]:
     lines: List[int] = []
@@ -424,10 +395,31 @@ def _restore_lines(body: Sequence[ast.stmt], receiver: str,
     return lines
 
 
+def _first_ranker_write(ctx: FaultContext, summary: FunctionSummary,
+                        frame: TryFrame,
+                        attrs: Set[str]) -> Optional[Tuple[str, int]]:
+    """(attr, line) of the first call in ``frame``'s body that writes a
+    ranker attribute's state, restore channels excluded."""
+    for site in summary.call_sites:
+        if frame not in site.frames or site.receiver_roots is None:
+            continue
+        if any(key.rsplit(".", 1)[-1] in RESTORE_METHODS
+               for key in site.callees):
+            continue
+        hit = sorted(name for kind, name in site.receiver_roots
+                     if kind == "self" and name in attrs)
+        if hit and any(effect.kind == "write" and effect.root[0] == "self"
+                       for key in site.callees
+                       if key in ctx.summaries
+                       for effect in ctx.summaries[key].effects.values()):
+            return hit[0], site.line
+    return None
+
+
 def check_restore_on_raise(ctx: FaultContext) -> List[Diagnostic]:
     """REP017: try-scoped ranker mutations restore before re-raising."""
     diagnostics: List[Diagnostic] = []
-    ranker = _class_named(ctx.index, "Ranker")
+    ranker = ctx.index.class_named("Ranker")
     ranker_keys: FrozenSet[str] = frozenset(
         [ranker.key] + [c.key for c in ctx.index.subclasses(ranker)]
     ) if ranker is not None else frozenset()
@@ -439,18 +431,13 @@ def check_restore_on_raise(ctx: FaultContext) -> List[Diagnostic]:
             receiver = fn.receiver_name()
             if receiver is None:
                 continue
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Try):
+            summary = ctx.summaries[fn.key]
+            for frame in summary.try_blocks:
+                mutated = _first_ranker_write(ctx, summary, frame, attrs)
+                if mutated is None or _restore_lines(frame.node.finalbody,
+                                                     receiver, attrs):
                     continue
-                mutated = self_attr_mutations(ctx, cls, node.body,
-                                              receiver, attrs)
-                if not mutated:
-                    continue
-                final_restores = _restore_lines(node.finalbody, receiver,
-                                                attrs)
-                if final_restores:
-                    continue
-                for handler in node.handlers:
+                for handler in frame.node.handlers:
                     raises = [inner.lineno for stmt in handler.body
                               for inner in ast.walk(stmt)
                               if isinstance(inner, ast.Raise)]
@@ -461,7 +448,7 @@ def check_restore_on_raise(ctx: FaultContext) -> List[Diagnostic]:
                                               attrs)
                     if any(line < first_raise for line in restores):
                         continue
-                    attr, mut_line = mutated[0]
+                    attr, mut_line = mutated
                     diagnostics.append(Diagnostic(
                         path=fn.path, line=handler.lineno, rule="REP017",
                         message=(f"'{fn.qualname}' mutates "
@@ -472,28 +459,6 @@ def check_restore_on_raise(ctx: FaultContext) -> List[Diagnostic]:
                                  f"the raise (the "
                                  f"RecommenderSystem.inject pattern)")))
     return diagnostics
-
-
-def self_attr_mutations(ctx: FaultContext, cls: ClassInfo,
-                        body: Sequence[ast.stmt], receiver: str,
-                        attrs: Set[str]) -> List[Tuple[str, int]]:
-    """``self.<attr>.<m>(...)`` calls in ``body`` that mutate ``attr``."""
-    mutated: List[Tuple[str, int]] = []
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Attribute)
-                    and isinstance(node.func.value.value, ast.Name)
-                    and node.func.value.value.id == receiver):
-                continue
-            attr = node.func.value.attr
-            method = node.func.attr
-            if attr not in attrs or method in RESTORE_METHODS:
-                continue
-            if _mutates_receiver(ctx, cls, attr, method):
-                mutated.append((attr, node.lineno))
-    return mutated
 
 
 def check_all(index: PackageIndex,

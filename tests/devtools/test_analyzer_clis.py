@@ -4,9 +4,11 @@ Every analyzer (graphlint, shapecheck, effectcheck, faultcheck) follows
 the shared convention from :mod:`repro.devtools.common`: 0 clean,
 1 findings, 2 internal error (bad inputs, usage errors, crashes).  CI
 gates on these codes without per-tool cases, so the contract gets one
-test per leg here, plus the ``repro check --jobs`` aggregation that
-fans the four tools out to worker processes.
+test per leg here, plus the ``repro check`` aggregation that fans the
+analyses out to worker processes.
 """
+
+import dataclasses
 
 import pytest
 
@@ -45,6 +47,16 @@ class TestBadInputsExitTwo:
             ["--root", "definitely/not/a/path"]) == 2
 
 
+class TestSelfTestMissExitsTwo:
+    def test_plant_missing_its_chain_is_an_internal_error(self, capsys):
+        # The plant is reported, but not with the chain it requires: a
+        # miss is an analyzer defect, not a finding.
+        plant = dataclasses.replace(effectcheck_cli.TOOL.plants[0],
+                                    chains=("no such frame",))
+        tool = dataclasses.replace(effectcheck_cli.TOOL, plants=(plant,))
+        assert effectcheck_cli.run_self_test((tool,)) == 2
+
+
 class TestFindingsExitOne:
     def test_graphlint_flags_planted_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -59,11 +71,6 @@ class TestFindingsExitOne:
 
 
 class TestCheckJobsAggregation:
-    def test_parser_accepts_jobs(self):
-        args = build_parser().parse_args(["check", "--jobs", "4"])
-        assert args.jobs == 4
-        assert build_parser().parse_args(["check"]).jobs == 1
-
     def test_run_analyzer_captures_output_and_code(self):
         name, code, out, err = _run_analyzer(
             ("graphlint", "repro.devtools.lint",
@@ -85,8 +92,7 @@ class TestCheckJobsAggregation:
         bad = tmp_path / "bad.py"
         bad.write_text('"""Doc."""\nimport numpy as np\n'
                        "x = np.random.rand(3)\n", encoding="utf-8")
-        args = build_parser().parse_args(
-            ["check", str(bad), "--jobs", "2"])
+        args = build_parser().parse_args(["check", str(bad)])
         assert cmd_check(args) == 1
         captured = capsys.readouterr()
         assert "REP001" in captured.out

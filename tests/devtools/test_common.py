@@ -61,12 +61,6 @@ class TestSuppressionFilter:
         # statement, so the def line itself stays uncovered.
         assert not self._filter().covers("REP001", 1)
 
-    def test_without_tree_only_own_line_is_consulted(self):
-        lines = self.SOURCE.splitlines()
-        flat = SuppressionFilter("mytool", lines)
-        assert flat.covers("REP001", 4)
-        assert not flat.covers("REP001", 2)
-
 
 class TestStmtSpans:
     def test_compound_header_span_stops_before_body(self):

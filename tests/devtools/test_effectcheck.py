@@ -22,7 +22,7 @@ import pytest
 
 from repro.devtools.effectcheck import analyze_package
 from repro.devtools.effectcheck.cli import (_plant_mutation, default_root,
-                                            main, run_self_test)
+                                            main)
 
 SRC_ROOT = default_root()
 
@@ -118,8 +118,26 @@ class TestPlantedMutation:
         _, _, diagnostics = analyze_package(root)
         assert not [d for d in diagnostics if d.line == planted_line]
 
+    def test_suppression_on_closing_line_covers_statement(self, tmp_path):
+        # The comment sits on the closing line of a two-line write; the
+        # diagnostics anchor on its first line.
+        root = tmp_path / "repro"
+        shutil.copytree(SRC_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        planted_path, planted_line = _plant_mutation(root)
+        lines = planted_path.read_text(encoding="utf-8").splitlines(
+            keepends=True)
+        idx = planted_line - 1
+        indent = lines[idx][:len(lines[idx]) - len(lines[idx].lstrip())]
+        lines[idx:idx + 1] = [
+            f"{indent}self.counts[0] += (\n",
+            f"{indent}    1.0)  # effectcheck: disable=REP012\n"]
+        planted_path.write_text("".join(lines), encoding="utf-8")
+        _, _, diagnostics = analyze_package(root)
+        assert not [d for d in diagnostics if d.line == planted_line]
+
     def test_self_test_passes(self, capsys):
-        assert run_self_test() == 0
+        assert main(["--self-test"]) == 0
 
 
 # ----------------------------------------------------------------------

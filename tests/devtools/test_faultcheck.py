@@ -21,11 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools.effectcheck.cli import default_root
 from repro.devtools.faultcheck import analyze_package
 from repro.devtools.faultcheck.cli import (_plant_deleted_signal_reset,
                                            _plant_swallowed_host_error,
-                                           default_root, main,
-                                           run_self_test)
+                                           main)
 from repro.devtools.faultcheck.rules import FaultContext
 
 SRC_ROOT = default_root()
@@ -156,10 +156,10 @@ class TestDoctoredCli:
         assert not [d for d in diagnostics
                     if d.rule == "REP013" and d.line == handler_line]
 
-    def test_self_test_exits_findings(self, capsys):
-        # A successful self-test *finds* both planted bugs, so it uses
-        # the shared findings exit code (1), not clean (0).
-        assert run_self_test() == 1
+    def test_self_test_exits_clean(self, capsys):
+        # Both planted bugs reported at their lines with their chains:
+        # the self-test passed (a miss would exit 2).
+        assert main(["--self-test"]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +174,7 @@ class TestRaisePropagation:
         ctx = FaultContext.build(index, summaries)
         entry = next(key for key in ctx.entries
                      if key.endswith("PoisonRec.train"))
-        facts = ctx.raise_table[entry].values()
+        facts = summaries[entry].raises.values()
         budget = [fact for fact in facts
                   if fact.name == "FailureBudgetExhausted"]
         assert budget
@@ -190,21 +190,19 @@ class TestRaisePropagation:
             entry = next(key for key in ctx.entries
                          if key.endswith(suffix))
             names = {fact.name
-                     for fact in ctx.raise_table[entry].values()}
+                     for fact in summaries[entry].raises.values()}
             assert "RetriesExhaustedError" not in names, suffix
 
     def test_host_triple_ancestry(self, clean_analysis):
-        index, summaries, _ = clean_analysis
-        ctx = FaultContext.build(index, summaries)
-        assert "RuntimeError" in ctx.table.ancestry("RecursionError")
+        index, _, _ = clean_analysis
+        assert "RuntimeError" in index.exception_ancestry("RecursionError")
         mismatch = next(key for key in index.classes
                         if key.endswith("SnapshotMismatchError"))
-        assert "CampaignError" in ctx.table.ancestry(mismatch)
+        assert "CampaignError" in index.exception_ancestry(mismatch)
 
     def test_host_errors_tuple_alias_expanded(self, clean_analysis):
-        index, summaries, _ = clean_analysis
-        ctx = FaultContext.build(index, summaries)
-        alias = ctx.table.tuple_aliases.get(
+        index, _, _ = clean_analysis
+        alias = index.exception_tuples.get(
             "repro.serve.supervision.HOST_ERRORS")
         assert alias == ("MemoryError", "SystemError", "RecursionError")
 
@@ -221,7 +219,7 @@ class TestForkProtocol:
         ctx = FaultContext.build(index, summaries)
         entry = next(key for key in ctx.fork_entries
                      if key.endswith("_worker_main"))
-        assert {"SIGTERM", "SIGINT"} <= ctx.facts[entry].resets
+        assert {"SIGTERM", "SIGINT"} <= summaries[entry].resets
 
 
 class TestModuleRunner:
