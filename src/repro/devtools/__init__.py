@@ -8,11 +8,10 @@ Five pillars keep the reproduction trustworthy as it scales:
   backward-closure hygiene, docstring coverage, checkpoint determinism,
   retry-wrapped environment queries) as named ``REPxxx`` rules.
   Run it with ``python -m repro.devtools.lint src/ tests/ benchmarks/``.
-* :mod:`repro.devtools.shapecheck` — **shapecheck**, a symbolic
-  shape/dtype abstract interpreter that runs the real ``repro.nn``
-  forward passes on tensors with named symbolic dims and verifies the
-  ``@shape_spec`` contracts declared across the stack.  Run it with
-  ``python -m repro.devtools.shapecheck``.
+* :mod:`repro.devtools.shapecheck` — **shapecheck**, which runs the
+  real ``repro.nn`` forward passes on real arrays at two prime batch
+  sizes and verifies the ``@shape_spec`` contracts declared across the
+  stack.  Run it with ``python -m repro.devtools.shapecheck``.
 * :mod:`repro.devtools.effectcheck` — **effectcheck**, a
   cross-procedural purity/effect analyzer that verifies the
   ``@pure``/``@mutates`` contracts from :mod:`repro.effects` and the
@@ -38,8 +37,7 @@ instruments: :mod:`repro.nn.anomaly`.
 
 __all__ = ["Diagnostic", "RULES", "lint_paths", "lint_source",
            "gradcheck", "gradcheck_param", "numeric_gradient",
-           "ContractError", "ShapeError", "SymTensor", "checked_call",
-           "run_shapecheck", "symbolic_trace",
+           "ContractError", "checked_call", "run_shapecheck",
            "analyze_package", "run_effectcheck",
            "analyze_faults", "run_faultcheck"]
 
@@ -50,11 +48,8 @@ _EFFECTCHECK_NAMES = {"analyze_package": "analyze_package",
 _FAULTCHECK_NAMES = {"analyze_faults": "analyze_package",
                      "run_faultcheck": "main"}
 _SHAPECHECK_NAMES = {"ContractError": "ContractError",
-                     "ShapeError": "ShapeError",
-                     "SymTensor": "SymTensor",
                      "checked_call": "checked_call",
-                     "run_shapecheck": "run_all",
-                     "symbolic_trace": "symbolic_trace"}
+                     "run_shapecheck": "run_all"}
 
 
 def __getattr__(name):

@@ -1,26 +1,16 @@
-"""Shapecheck: a symbolic shape/dtype abstract interpreter for repro.nn.
+"""Shapecheck: verify the ``@shape_spec`` contracts on real arrays.
 
-Traces real forward-pass code on :class:`SymTensor` values whose dims
-are ints or named symbols (``B``, ``T``), verifying ``@shape_spec``
-contracts without a single real matmul.  See
-``docs/static_analysis.md`` for the architecture and
+Runs the real forward passes of the nn layers, the inner recommender
+networks and the policy network at two prime batch sizes, and probes
+every ranker, checking each call against its declared contract.  See
+``docs/static_analysis.md`` for the design and
 ``python -m repro.devtools.shapecheck`` for the whole-repo check.
 """
 
-from .contracts import ContractError, checked_call, parse_spec, verify
+from .contracts import ContractError, checked_call, parse_spec
 from .drivers import CheckResult, build_checks, run_all, run_checks
-from .symbolic import (BOOL, FLOAT32, FLOAT64, INT64, Dim, ShapeError,
-                       SymTensor, as_symbolic, broadcast_shapes,
-                       concat_shapes, matmul_shape, reshape_shape,
-                       stack_shapes, sym_input)
-from .trace import SYMBOLIC_OP_NAMES, is_tracing, symbolic_trace
 
 __all__ = [
-    "SymTensor", "Dim", "ShapeError", "sym_input", "as_symbolic",
-    "BOOL", "INT64", "FLOAT32", "FLOAT64",
-    "broadcast_shapes", "matmul_shape", "concat_shapes", "stack_shapes",
-    "reshape_shape",
-    "symbolic_trace", "is_tracing", "SYMBOLIC_OP_NAMES",
-    "ContractError", "checked_call", "parse_spec", "verify",
+    "ContractError", "checked_call", "parse_spec",
     "CheckResult", "build_checks", "run_checks", "run_all",
 ]

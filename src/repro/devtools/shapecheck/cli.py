@@ -1,7 +1,8 @@
 """Command-line entry point: ``python -m repro.devtools.shapecheck``.
 
-Runs every driver check (symbolic nn/recsys forward passes, all four
-policy variants, concrete ranker probes) and reports per-check status.
+Runs every driver check (nn/recsys forward passes and all four policy
+variants at two prime batch sizes, ranker probes) on real arrays and
+reports per-check status.
 Exit codes follow the shared analyzer convention
 (:mod:`repro.devtools.common`): 0 when every contract holds, 1 on any
 violation, 2 on an internal failure.  ``--format=json`` emits the same
@@ -50,8 +51,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run the whole-repo shape check; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.shapecheck",
-        description="Abstract-interpret every model forward pass with "
-                    "symbolic shapes and verify @shape_spec contracts.")
+        description="Run every model forward pass on real arrays at "
+                    "two prime batch sizes and verify @shape_spec "
+                    "contracts.")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="print passing checks too")
     parser.add_argument("--format", choices=("text", "json"),

@@ -1,10 +1,10 @@
-"""Verification of ``@shape_spec`` contracts against traced values.
+"""Verification of ``@shape_spec`` contracts against real values.
 
 The contract grammar is defined in :mod:`repro.nn.spec` (which only
-attaches the string); this module parses it and unifies it with actual
-argument/result shapes.  Dim names bind on first use and must match on
-every later use; a name that resolves to an ``int`` attribute on the
-bound instance (``in_dim``, ``cell.hidden_dim``,
+attaches the string); this module parses it and unifies it with the
+``.shape`` of the actual arguments and result.  Dim names bind on first
+use and must match on every later use; a name that resolves to an
+``int`` attribute on the bound instance (``in_dim``, ``cell.hidden_dim``,
 ``action_space.max_decisions``) is treated as that constant instead.
 """
 
@@ -14,7 +14,6 @@ import re
 from typing import Dict, List, Optional, Tuple, Union
 
 from ...nn.spec import get_shape_spec
-from .symbolic import DimLike, as_symbolic, dims_equal, fmt_shape
 
 _TOKEN_RE = re.compile(r"->|[()\[\],]|[A-Za-z_][A-Za-z0-9_.]*|\d+")
 
@@ -144,23 +143,22 @@ def _resolve_constant(instance, name: str) -> Optional[int]:
     return target
 
 
-def _match_shape(dims: tuple, value, env: Dict[str, DimLike], instance,
+def _match_shape(dims: tuple, value, env: Dict[str, int], instance,
                  where: str, spec: str) -> None:
-    try:
-        shape = as_symbolic(value).shape
-    except TypeError as error:
+    shape = getattr(value, "shape", None)
+    if shape is None:
         raise ContractError(
             f"{where}: expected a tensor for {fmt_spec_dims(dims)} in "
-            f"{spec!r}, got {type(value).__name__}") from error
+            f"{spec!r}, got {type(value).__name__}")
     if len(shape) != len(dims):
         raise ContractError(
             f"{where}: rank mismatch — spec {fmt_spec_dims(dims)} vs "
-            f"actual {fmt_shape(shape)} (spec {spec!r})")
+            f"actual {shape} (spec {spec!r})")
     for token, actual in zip(dims, shape):
         if token == "_":
             continue
         if isinstance(token, int):
-            expected: DimLike = token
+            expected = token
         else:
             resolved = _resolve_constant(instance, token)
             if resolved is not None:
@@ -170,11 +168,11 @@ def _match_shape(dims: tuple, value, env: Dict[str, DimLike], instance,
             else:
                 env[token] = actual
                 continue
-        if not dims_equal(expected, actual):
+        if expected != actual:
             raise ContractError(
                 f"{where}: dim '{token}' expected {expected}, got {actual} "
                 f"— spec {fmt_spec_dims(dims)} vs actual "
-                f"{fmt_shape(shape)} (spec {spec!r})")
+                f"{shape} (spec {spec!r})")
 
 
 def fmt_spec_dims(dims: tuple) -> str:
@@ -182,7 +180,7 @@ def fmt_spec_dims(dims: tuple) -> str:
     return "(" + ", ".join(str(d) for d in dims) + ")"
 
 
-def _match_term(term: Term, value, env: Dict[str, DimLike], instance,
+def _match_term(term: Term, value, env: Dict[str, int], instance,
                 where: str, spec: str) -> None:
     kind = term[0]
     if kind == "wild":
@@ -212,30 +210,6 @@ def _match_term(term: Term, value, env: Dict[str, DimLike], instance,
     raise ContractError(f"unknown spec term {term!r} in {spec!r}")
 
 
-def verify(spec: str, instance, args: tuple, result,
-           where: str = "call") -> None:
-    """Unify ``args``/``result`` with ``spec``; raises :class:`ContractError`.
-
-    Trailing spec terms without a matching argument are allowed (optional
-    parameters left at their defaults); extra arguments are not.
-    """
-    arg_terms, result_terms = parse_spec(spec)
-    if len(args) > len(arg_terms):
-        raise ContractError(
-            f"{where}: {len(args)} args but spec {spec!r} declares "
-            f"{len(arg_terms)} terms")
-    env: Dict[str, DimLike] = {}
-    for index, (term, value) in enumerate(zip(arg_terms, args)):
-        _match_term(term, value, env, instance,
-                    f"{where}: arg {index}", spec)
-    if len(result_terms) == 1:
-        _match_term(result_terms[0], result, env, instance,
-                    f"{where}: result", spec)
-    else:
-        _match_term(("tuple", result_terms), result, env, instance,
-                    f"{where}: result", spec)
-
-
 def checked_call(obj, method_name: str, *args):
     """Call ``obj.method_name(*args)`` and verify its shape contract.
 
@@ -244,7 +218,9 @@ def checked_call(obj, method_name: str, *args):
     verified *before* the call — a mis-shaped input is reported against
     the declared contract instead of wherever the forward pass first
     trips over it — and the result term after, sharing one symbol
-    environment.  Returns the call's result; raises
+    environment.  Trailing spec terms without a matching argument are
+    allowed (optional parameters left at their defaults); extra
+    arguments are not.  Returns the call's result; raises
     :class:`ContractError` on violation.
     """
     fn = getattr(type(obj), method_name)
@@ -257,7 +233,7 @@ def checked_call(obj, method_name: str, *args):
         raise ContractError(
             f"{where}: {len(args)} args but spec {spec!r} declares "
             f"{len(arg_terms)} terms")
-    env: Dict[str, DimLike] = {}
+    env: Dict[str, int] = {}
     for index, (term, value) in enumerate(zip(arg_terms, args)):
         _match_term(term, value, env, obj, f"{where}: arg {index}", spec)
     result = getattr(obj, method_name)(*args)

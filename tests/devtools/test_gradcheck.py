@@ -1,14 +1,16 @@
 """Shared gradcheck utility tests, including recommender-loss coverage."""
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.devtools.gradcheck import (GradcheckError, gradcheck,
                                       gradcheck_param, numeric_gradient)
-from repro.devtools.shapecheck import SYMBOLIC_OP_NAMES
 from repro.nn import Embedding, Tensor, concatenate, stack
 from repro.nn import functional as F
+from repro.nn import tensor as tensor_module
 
 
 def buggy_double(x: Tensor) -> Tensor:
@@ -82,10 +84,9 @@ _PARITY_W = np.linspace(-0.4, 0.7, 10).reshape(5, 2)
 _PARITY_SPARSE = sp.csr_matrix(np.arange(12, dtype=float).reshape(4, 3) * 0.1)
 _PARITY_TARGETS = np.linspace(0.1, 0.9, 15).reshape(3, 5)
 
-#: One numeric gradient check per op the shapecheck tracer models
-#: (``repro.devtools.shapecheck.SYMBOLIC_OP_NAMES``) — the parity test
-#: below fails when a new traced op lands without gradient coverage.
-SYMBOLIC_OP_GRADCHECKS = {
+#: One numeric gradient check per differentiable op of the engine — the
+#: parity test below fails when a new op lands without gradient coverage.
+OP_GRADCHECKS = {
     "exp": lambda x: F.exp(x),
     "log": lambda x: F.log(F.exp(x)),
     "sqrt": lambda x: F.sqrt(F.exp(x)),
@@ -123,15 +124,42 @@ SYMBOLIC_OP_GRADCHECKS = {
 }
 
 
+def _builds_node(fn) -> bool:
+    return inspect.isfunction(fn) and "_make" in fn.__code__.co_names
+
+
+def engine_ops() -> set:
+    """Every differentiable op of ``repro.nn``, read off the engine.
+
+    The public functions of ``repro.nn.functional``, and the functions
+    of ``repro.nn.tensor`` (``concatenate``, ``stack``) and methods of
+    ``Tensor`` that make a graph node through ``Tensor._make``, one name
+    per function object (``__radd__`` is ``__add__``), spelled as their
+    :data:`OP_GRADCHECKS` keys.
+    """
+    ops = {name for name, fn in vars(F).items()
+           if inspect.isfunction(fn) and fn.__module__ == F.__name__
+           and not name.startswith("_")}
+    ops |= {name for name, fn in vars(tensor_module).items()
+            if _builds_node(fn) and fn.__module__ == tensor_module.__name__}
+    methods = {}
+    for name, fn in vars(Tensor).items():
+        if _builds_node(fn):
+            methods.setdefault(fn, name.strip("_"))
+    ops |= {"div" if name == "truediv" else name
+            for name in methods.values()}
+    return ops
+
+
 class TestSymbolicOpParity:
-    """Every op the shapecheck tracer models has gradient coverage."""
+    """Every differentiable op of the engine has gradient coverage."""
 
     def test_covers_every_symbolic_op(self):
-        assert set(SYMBOLIC_OP_GRADCHECKS) == set(SYMBOLIC_OP_NAMES)
+        assert engine_ops() - set(OP_GRADCHECKS) == set()
 
-    @pytest.mark.parametrize("name", sorted(SYMBOLIC_OP_GRADCHECKS))
+    @pytest.mark.parametrize("name", sorted(OP_GRADCHECKS))
     def test_gradcheck(self, name):
-        gradcheck(SYMBOLIC_OP_GRADCHECKS[name], _PARITY_X0.copy())
+        gradcheck(OP_GRADCHECKS[name], _PARITY_X0.copy())
 
 
 class TestBPRLossEndToEnd:

@@ -2,7 +2,9 @@
 
 import json
 import pathlib
+import re
 import textwrap
+import tokenize
 
 import pytest
 
@@ -455,3 +457,21 @@ def test_repo_is_lint_clean():
     diagnostics, checked = lint_paths(targets)
     assert checked > 100
     assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
+
+
+def test_repo_has_no_analyzer_suppressions():
+    """No disable comment for graphlint, effectcheck or faultcheck.
+
+    Reads real comment tokens, so the suppression examples that tests
+    and docstrings hold in strings do not count.
+    """
+    pattern = re.compile(r"(graphlint|effectcheck|faultcheck):\s*disable")
+    found = []
+    for part in ("src", "tests", "benchmarks"):
+        for path in sorted((REPO_ROOT / part).rglob("*.py")):
+            with tokenize.open(path) as source:
+                for token in tokenize.generate_tokens(source.readline):
+                    if (token.type == tokenize.COMMENT
+                            and pattern.search(token.string)):
+                        found.append(f"{path}:{token.start[0]}")
+    assert found == []
