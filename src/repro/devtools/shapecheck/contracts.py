@@ -210,21 +210,30 @@ def _match_term(term: Term, value, env: Dict[str, int], instance,
     raise ContractError(f"unknown spec term {term!r} in {spec!r}")
 
 
+def _nearest_spec(cls: type, method_name: str) -> Optional[str]:
+    """The first ``@shape_spec`` on ``method_name`` along ``cls.__mro__``."""
+    for klass in cls.__mro__:
+        fn = vars(klass).get(method_name)
+        spec = None if fn is None else get_shape_spec(fn)
+        if spec is not None:
+            return spec
+    return None
+
+
 def checked_call(obj, method_name: str, *args):
     """Call ``obj.method_name(*args)`` and verify its shape contract.
 
-    The spec is looked up on the class attribute (so contracts declared on
-    a base class apply to inheriting implementations).  Argument terms are
-    verified *before* the call — a mis-shaped input is reported against
-    the declared contract instead of wherever the forward pass first
-    trips over it — and the result term after, sharing one symbol
-    environment.  Trailing spec terms without a matching argument are
-    allowed (optional parameters left at their defaults); extra
-    arguments are not.  Returns the call's result; raises
+    The spec is the nearest one along ``type(obj).__mro__``, so a contract
+    declared on a base class also binds an override that declares none.
+    Argument terms are verified *before* the call — a mis-shaped input is
+    reported against the declared contract instead of wherever the
+    forward pass first trips over it — and the result term after, sharing
+    one symbol environment.  Trailing spec terms without a matching
+    argument are allowed (optional parameters left at their defaults);
+    extra arguments are not.  Returns the call's result; raises
     :class:`ContractError` on violation.
     """
-    fn = getattr(type(obj), method_name)
-    spec = get_shape_spec(fn)
+    spec = _nearest_spec(type(obj), method_name)
     if spec is None:
         return getattr(obj, method_name)(*args)
     where = f"{type(obj).__name__}.{method_name}"

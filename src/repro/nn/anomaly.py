@@ -5,11 +5,12 @@ closure-based graph (the analogue of ``torch.autograd.set_detect_anomaly``):
 
 * :class:`detect_anomaly` — a context manager that instruments every op
   created inside it.  Forward outputs are checked for NaN/Inf as each
-  graph node is built; every gradient accumulated during ``backward()``
-  is checked for NaN/Inf and for silent shape broadcasts.  The *first*
-  corrupted node raises :class:`AnomalyError` naming the offending op and
-  the shapes of its parents, instead of letting the corruption propagate
-  into PPO's reward normalization or a recommender's update step.
+  graph node is built; every gradient accumulated during ``backward()``,
+  dense or as a gather's row block, is checked for NaN/Inf and for silent
+  shape broadcasts.  The *first* corrupted node raises
+  :class:`AnomalyError` naming the offending op and the shapes of its
+  parents, instead of letting the corruption propagate into PPO's reward
+  normalization or a recommender's update step.
 * :func:`validate_graph` — a post-``backward()`` structural validator:
   confirms the recorded graph admits a topological order (no cycles) and
   that no backward closure orphaned one of its differentiable parents
@@ -62,6 +63,7 @@ class _AnomalyState:
         self.current_parents: Tuple[Tensor, ...] = ()
         self.original_make = None
         self.original_accumulate = None
+        self.original_accumulate_rows = None
 
 
 _STATE = _AnomalyState()
@@ -98,12 +100,16 @@ def _checked_make(data, parents, backward) -> Tensor:
     return _STATE.original_make(data, parents, checked_backward)
 
 
+def _where() -> str:
+    return (f"backward of '{_STATE.current_op}' (parent shapes: "
+            f"{_shapes(_STATE.current_parents)})"
+            if _STATE.current_op is not None
+            else "the seed gradient passed to backward()")
+
+
 def _checked_accumulate(self: Tensor, grad: np.ndarray) -> None:
     if self.requires_grad:
-        where = (f"backward of '{_STATE.current_op}' (parent shapes: "
-                 f"{_shapes(_STATE.current_parents)})"
-                 if _STATE.current_op is not None
-                 else "the seed gradient passed to backward()")
+        where = _where()
         arr = np.asarray(grad)
         if arr.shape != self.data.shape:
             raise AnomalyError(
@@ -114,6 +120,20 @@ def _checked_accumulate(self: Tensor, grad: np.ndarray) -> None:
         _require_finite(arr, f"gradient produced by {where} for a parent "
                              f"of shape {self.data.shape}")
     _STATE.original_accumulate(self, grad)
+
+
+def _checked_accumulate_rows(self: Tensor, rows: np.ndarray,
+                             block: np.ndarray) -> None:
+    if self.requires_grad:
+        where = _where()
+        if block.shape != (len(rows),) + self.data.shape[1:]:
+            raise AnomalyError(
+                f"shape mismatch in {where}: accumulating a row block of "
+                f"shape {block.shape} for {len(rows)} rows into a tensor "
+                f"of shape {self.data.shape}")
+        _require_finite(block, f"gradient produced by {where} for a "
+                               f"parent of shape {self.data.shape}")
+    _STATE.original_accumulate_rows(self, rows, block)
 
 
 class detect_anomaly:
@@ -133,8 +153,10 @@ class detect_anomaly:
         if _STATE.depth == 0:
             _STATE.original_make = Tensor._make
             _STATE.original_accumulate = Tensor._accumulate
+            _STATE.original_accumulate_rows = Tensor._accumulate_rows
             Tensor._make = staticmethod(_checked_make)
             Tensor._accumulate = _checked_accumulate
+            Tensor._accumulate_rows = _checked_accumulate_rows
         _STATE.depth += 1
         return self
 
@@ -143,8 +165,10 @@ class detect_anomaly:
         if _STATE.depth == 0:
             Tensor._make = staticmethod(_STATE.original_make)
             Tensor._accumulate = _STATE.original_accumulate
+            Tensor._accumulate_rows = _STATE.original_accumulate_rows
             _STATE.original_make = None
             _STATE.original_accumulate = None
+            _STATE.original_accumulate_rows = None
             _STATE.current_op = None
             _STATE.current_parents = ()
 

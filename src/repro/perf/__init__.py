@@ -11,9 +11,9 @@ single observed reward:
   retrain / score under a ``query`` root), measured wherever the query
   ran — see :func:`repro.obs.collect_spans`.
 
-See ``docs/performance.md`` for the measurement methodology,
-``docs/observability.md`` for the tracing/metrics hooks, and
-``benchmarks/bench_query_throughput.py`` for the throughput harness.
+See ``docs/performance.md`` for the measurement methodology and
+``docs/observability.md`` for the tracing/metrics hooks; the repository
+benchmark's ``fleet`` workload (``perfbench/``) measures the pool.
 """
 
 from .pool import QueryOutcome, QueryPool, WorkerCrashError

@@ -15,6 +15,7 @@ import numpy as np
 from ..data.interactions import InteractionLog
 from ..effects import mutates, pure, sanctioned_channel
 from ..nn.spec import shape_spec
+from ..nn.tensor import row_sums
 from .base import Ranker, sample_negatives
 
 
@@ -28,15 +29,15 @@ def _apply_accumulated(table: np.ndarray, ids: np.ndarray,
     id's accumulated gradient row is clipped to ``max_row_norm``.  Poison
     data concentrates hundreds of clicks on a single item; without the
     clip, that item's effective step size scales with its multiplicity and
-    the factors diverge.
+    the factors diverge.  Only the rows ``ids`` touch are summed, clipped
+    and stepped.
     """
-    grad_sum = np.zeros_like(table)
-    np.add.at(grad_sum, ids, gradients)
+    rows, grad_sum = row_sums(ids, gradients, table.shape)
     norms = np.linalg.norm(grad_sum, axis=1)
     oversized = norms > max_row_norm
     if oversized.any():
         grad_sum[oversized] *= (max_row_norm / norms[oversized])[:, None]
-    table -= lr * grad_sum
+    table[rows] -= lr * grad_sum
 
 
 class PMF(Ranker):

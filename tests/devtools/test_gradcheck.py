@@ -116,6 +116,11 @@ OP_GRADCHECKS = {
     "neg": lambda x: -x,
     "matmul": lambda x: x @ Tensor(_PARITY_W),
     "getitem": lambda x: x[1:, ::2],
+    # Integer-array gathers take the row-sparse rule; a repeated id must
+    # collect the gradient of every position that names it.
+    "getitem_rows": lambda x: x[np.array([2, 0, 2])] * Tensor(_PARITY_TARGETS),
+    "getitem_rows_2d": lambda x: x[np.array([[1, 2], [2, 0]])] * Tensor(
+        np.linspace(0.5, 2.0, 20).reshape(2, 2, 5)),
     "reshape": lambda x: x.reshape(5, 3) * 2.0,
     "transpose": lambda x: x.transpose(1, 0) * 3.0,
     "sum": lambda x: x.sum(axis=0),

@@ -123,6 +123,18 @@ def test_score_batch_wrong_shape(monkeypatch):
     _assert_reported(_failures_in_process(), {"recsys.probe[itempop]": ()})
 
 
+def test_unspecced_override_keeps_base_contract(monkeypatch):
+    # ``Ranker`` declares the score_batch contract; an override that
+    # declares none must still be held to it.
+    original = ItemPop.score_batch
+
+    def planted(self, users, candidates):
+        return original(self, users, candidates).T
+
+    monkeypatch.setattr(ItemPop, "score_batch", planted)
+    _assert_reported(_failures_in_process(), {"recsys.probe[itempop]": ()})
+
+
 def test_lstm_concat_on_wrong_axis(tmp_path):
     failures = _failures_in_doctored_copy(tmp_path, LSTM_CONCAT,
                                           "axis=1", "axis=0")

@@ -27,6 +27,15 @@ def wrong_shape_scale(x: Tensor) -> Tensor:
     return Tensor._make(x.data * 3.0, (x,), backward)
 
 
+def wrong_width_rows(x: Tensor) -> Tensor:
+    """An op whose backward hands the row channel a block one column
+    short."""
+    def backward(g: np.ndarray) -> None:
+        x._accumulate_rows(np.array([0, 1]), g[:2, :-1])
+
+    return Tensor._make(x.data * 3.0, (x,), backward)
+
+
 def forgetful_add(a: Tensor, b: Tensor) -> Tensor:
     """An op whose backward drops one of its parents (orphan bug)."""
     def backward(g: np.ndarray) -> None:
@@ -55,6 +64,29 @@ class TestDetectAnomalyBackward:
                 y.sum().backward()
         message = str(excinfo.value)
         assert "wrong_shape_scale" in message
+        assert "shape mismatch" in message
+
+    def test_gather_overflow_names_getitem(self):
+        # Two finite 1e308 rows gathered at one index sum to inf in the
+        # gather's backward.
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        with detect_anomaly():
+            y = x[np.array([1, 1])]
+            with pytest.raises(AnomalyError) as excinfo:
+                with np.errstate(over="ignore"):
+                    y.backward(np.full((2, 2), 1e308))
+        message = str(excinfo.value)
+        assert "__getitem__" in message
+        assert "Inf" in message
+
+    def test_row_block_shape_bug_is_caught(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        with detect_anomaly():
+            y = wrong_width_rows(x)
+            with pytest.raises(AnomalyError) as excinfo:
+                y.sum().backward()
+        message = str(excinfo.value)
+        assert "wrong_width_rows" in message
         assert "shape mismatch" in message
 
     def test_non_finite_seed_gradient_is_caught(self):

@@ -31,6 +31,23 @@ def assert_matches_numeric(fn_tensor, fn_np, x0, tol=1e-6):
     np.testing.assert_allclose(ana, num, atol=tol, rtol=1e-4)
 
 
+def dense_getitem(self: Tensor, idx) -> Tensor:
+    """The dense gather rule, for every index: the oracle for the row rule.
+
+    The backward allocates a zero table the size of the whole parent,
+    ``np.add.at``s the upstream gradient into it and adds all of it into
+    ``.grad``.
+    """
+    a = self
+
+    def backward(g: np.ndarray) -> None:
+        full = np.zeros_like(a.data, dtype=np.float64)
+        np.add.at(full, idx, g)
+        a._accumulate(full)
+
+    return Tensor._make(a.data[idx], (a,), backward)
+
+
 class TestArithmetic:
     def test_add_grad(self):
         x0 = np.random.default_rng(0).normal(size=(3, 4))
@@ -141,6 +158,55 @@ class TestShapeOps:
         (out[0] * 5.0).sum().backward()
         np.testing.assert_allclose(a.grad, np.full(3, 5.0))
         np.testing.assert_allclose(b.grad, np.zeros(3))
+
+
+def gather_grad(gather, table, idx, upstream, prefill=None):
+    """``table``'s gradient after ``gather(table, idx).backward(upstream)``."""
+    t = Tensor(table.copy(), requires_grad=True)
+    if prefill is not None:
+        t._accumulate(prefill)
+    gather(t, idx).backward(upstream)
+    return t.grad
+
+
+def spread(rng, shape):
+    """Values over 16 orders of magnitude, so any change in the order of
+    additions shows in the low bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+
+
+class TestRowSparseGather:
+    """An integer-array gather's gradient is the dense rule's, bit for bit."""
+
+    @pytest.mark.parametrize("idx", [
+        np.array([2, 0, 2, 5, 2, 0, 2]),
+        np.array([[3, 1, 3], [1, 1, 4], [3, 0, 3]]),
+        np.array([-1, 5, 2, -1, 5, 0]),
+    ], ids=["repeated-1d", "repeated-2d", "minus-one-and-last"])
+    @pytest.mark.parametrize("prefilled", [False, True],
+                             ids=["empty-grad", "prefilled-grad"])
+    def test_matches_dense_rule(self, idx, prefilled):
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(6, 4))
+        upstream = spread(rng, idx.shape + (4,))
+        prefill = spread(rng, table.shape) if prefilled else None
+        sparse = gather_grad(Tensor.__getitem__, table, idx, upstream,
+                             prefill)
+        dense = gather_grad(dense_getitem, table, idx, upstream, prefill)
+        assert sparse.tobytes() == dense.tobytes()
+
+    def test_parent_without_grad_is_left_alone(self):
+        data = np.random.default_rng(4).normal(size=(5, 3))
+        idx = np.array([1, 3, 1])
+        results = []
+        for gather in (Tensor.__getitem__, dense_getitem):
+            table = Tensor(data)
+            weight = Tensor(np.linspace(-1.0, 1.0, 9).reshape(3, 3),
+                            requires_grad=True)
+            (gather(table, idx) * weight).sum().backward()
+            assert table.grad is None
+            results.append(weight.grad.tobytes())
+        assert results[0] == results[1]
 
 
 class TestReductions:

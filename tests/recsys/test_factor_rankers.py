@@ -6,6 +6,7 @@ import pytest
 from repro.data import InteractionLog
 from repro.recsys import BPR, PMF
 from repro.recsys.base import sample_negatives
+from repro.recsys.pmf import _apply_accumulated
 
 
 def clustered_log(num_users=30, num_items=20, seed=0):
@@ -19,6 +20,41 @@ def clustered_log(num_users=30, num_items=20, seed=0):
         for _ in range(6):
             log.add(user, int(rng.integers(lo, lo + half_items)))
     return log
+
+
+def dense_apply_accumulated(table, ids, gradients, lr, max_row_norm=2.0):
+    """The dense MF minibatch step: the oracle for ``_apply_accumulated``.
+
+    It sums, takes norms over and subtracts a whole ``table``-sized
+    gradient, untouched rows included.
+    """
+    grad_sum = np.zeros_like(table)
+    np.add.at(grad_sum, ids, gradients)
+    norms = np.linalg.norm(grad_sum, axis=1)
+    oversized = norms > max_row_norm
+    if oversized.any():
+        grad_sum[oversized] *= (max_row_norm / norms[oversized])[:, None]
+    table -= lr * grad_sum
+
+
+class TestApplyAccumulated:
+    def test_matches_dense_rule_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        table = rng.normal(size=(12, 5)) * 1e-3
+        ids = np.array([3, 7, 3, 3, 0, 11, 7, 3, 9, 7])
+        gradients = rng.normal(size=(len(ids), 5)) * 0.1
+        # Row 7's first column sums to exactly 1.0 only when added in
+        # order (1e-16 + 1e-16 + 1.0 rounds up), so the order of additions
+        # shows; row 3 exceeds the norm cap, so the clip path runs too.
+        gradients[ids == 7, 0] = [1.0, 1e-16, 1e-16]
+        gradients[ids == 3] *= 40.0
+        assert np.linalg.norm(gradients[ids == 3].sum(axis=0)) > 2.0
+        sparse, dense = table.copy(), table.copy()
+        _apply_accumulated(sparse, ids, gradients, lr=0.05)
+        dense_apply_accumulated(dense, ids, gradients, lr=0.05)
+        assert sparse.tobytes() == dense.tobytes()
+        untouched = np.setdiff1d(np.arange(12), ids)
+        assert sparse[untouched].tobytes() == table[untouched].tobytes()
 
 
 @pytest.mark.parametrize("cls", [PMF, BPR])
