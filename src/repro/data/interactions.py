@@ -9,7 +9,7 @@ exactly as in the paper's sequential datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +27,10 @@ class InteractionLog:
         ``[0, num_items)``; this includes any appended target items.
 
     Bulk reads (``pairs``, ``item_counts``, ``to_implicit_matrix``) are
-    served from a cached CSR view (see :mod:`repro.data.sparse`); every
-    mutator bumps ``_version`` so the cache can never go stale.
+    served from a cached CSR view (see :mod:`repro.data.sparse`), keyed
+    by the content token ``_version``.  Every mutator gives the log a
+    token it never had, so no two contents of a log share a token and
+    the cache can never go stale.
     """
 
     def __init__(self, num_items: int) -> None:
@@ -36,26 +38,46 @@ class InteractionLog:
             raise ValueError("num_items must be positive")
         self.num_items = num_items
         self._sequences: Dict[int, List[int]] = {}
-        #: Monotone mutation counter; the sparse-view cache key.
+        #: Content token, the sparse-view cache key.
         self._version = 0
+        #: The last token handed out; it only grows, so none is reused.
+        self._clock = 0
+        #: ``(donor, token before, token after)`` of the latest splice
+        #: while it is attached, from which the spliced view is built.
+        self._splice: Optional[Tuple["InteractionLog", int, int]] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @mutates("_sequences", "_version")
+    @mutates("_version", "_clock")
+    def _touch(self) -> None:
+        """Give the log a token it never had: its contents are new."""
+        self._clock += 1
+        self._version = self._clock
+
+    @mutates("_sequences", "_version", "_clock")
     def add(self, user: int, item: int) -> None:
         """Append a single click to ``user``'s sequence."""
-        if not 0 <= item < self.num_items:
-            raise ValueError(
-                f"item {item} outside universe [0, {self.num_items})")
-        self._sequences.setdefault(user, []).append(item)
-        self._version += 1
+        self.add_sequence(user, (item,))
 
-    @mutates("_sequences", "_version")
+    @mutates("_sequences", "_version", "_clock")
     def add_sequence(self, user: int, items: Sequence[int]) -> None:
-        """Append an entire click sequence for ``user``."""
-        for item in items:
-            self.add(user, item)
+        """Append an entire click sequence for ``user``.
+
+        All or nothing: every item is checked before the first click
+        lands, and an empty sequence adds nothing, not even an empty
+        entry for ``user``.
+        """
+        items = list(items)
+        if not items:
+            return
+        if not (0 <= min(items) and max(items) < self.num_items):
+            bad = next(item for item in items
+                       if not 0 <= item < self.num_items)
+            raise ValueError(
+                f"item {bad} outside universe [0, {self.num_items})")
+        self._sequences.setdefault(user, []).extend(items)
+        self._touch()
 
     def copy(self) -> "InteractionLog":
         """Deep copy of the log (independent sequences)."""
@@ -63,7 +85,7 @@ class InteractionLog:
         clone._sequences = {u: list(seq) for u, seq in self._sequences.items()}
         return clone
 
-    @mutates("_sequences", "_version")
+    @mutates("_sequences", "_version", "_clock", "_splice")
     @sanctioned_channel
     def splice(self, other: "InteractionLog") -> None:
         """Graft ``other``'s sequences into this log without copying.
@@ -74,6 +96,10 @@ class InteractionLog:
         users must be disjoint from this log's (poison rows belong to
         fresh attacker accounts), and neither log may be mutated while
         the splice is active; call :meth:`unsplice` to detach.
+
+        The splice is recorded, so the CSR view of the spliced log is
+        built from the pre-splice view and ``other``'s view with array
+        operations instead of a walk over every sequence.
         """
         if other.num_items != self.num_items:
             raise ValueError("cannot splice logs over different "
@@ -85,15 +111,27 @@ class InteractionLog:
                 "appear in both logs")
         for user, sequence in other._sequences.items():
             self._sequences[user] = sequence
-        self._version += 1
+        before = self._version
+        self._touch()
+        self._splice = (other, before, self._version)
 
-    @mutates("_sequences", "_version")
+    @mutates("_sequences", "_version", "_clock", "_splice")
     @sanctioned_channel
     def unsplice(self, other: "InteractionLog") -> None:
-        """Detach sequences previously grafted by :meth:`splice`."""
+        """Detach sequences previously grafted by :meth:`splice`.
+
+        When that splice was the last mutation, the contents are the
+        pre-splice ones again, and so is the token: the pre-splice view
+        is served again without a rebuild.  Otherwise the token is new.
+        """
         for user in other._sequences:
             self._sequences.pop(user, None)
-        self._version += 1
+        splice, self._splice = self._splice, None
+        if (splice is not None and splice[0] is other
+                and splice[2] == self._version):
+            self._version = splice[1]
+        else:
+            self._touch()
 
     def merged_with(self, other: "InteractionLog") -> "InteractionLog":
         """Return a new log combining both logs' sequences.

@@ -17,22 +17,29 @@ matrices — becomes a single vectorized pass over these arrays.
 
 Cache-invalidation contract
 ---------------------------
-Views are obtained through :func:`sparse_view`, which memoizes one view
-per log in a module-level :class:`weakref.WeakKeyDictionary` keyed by the
-log's identity.  ``InteractionLog`` bumps a monotone ``_version`` counter
-in every mutator (``add``, ``splice``, ``unsplice``); a cached view is
-reused only while its captured version matches, so a view can never
-observe a stale log.  Two corollaries:
+Views are obtained through :func:`sparse_view`, which memoizes views
+per log in a module-level :class:`weakref.WeakKeyDictionary` keyed by
+the log's identity.  ``InteractionLog._version`` is a content token:
+every mutator (``add``, ``add_sequence``, ``splice``, ``unsplice``)
+gives the log a token it never had (from the log's own ever-growing
+``_clock``), so a token names exactly one contents of a log, and a
+cached view is reused only while its captured token matches.  Three
+corollaries:
 
 * repeated reads between mutations are O(1) — the arrays are built once;
+* a spliced log's view is built from the pre-splice view and the donor's
+  view by merging rows by user id (:meth:`SparseInteractions.spliced`),
+  not by walking every sequence, and ``unsplice`` right after the splice
+  restores the pre-splice token, so the pre-splice view is served again;
 * the zero-copy splice discipline ("neither log may be mutated while a
   splice is active") extends to views: mutating a *donor* log while its
-  rows are spliced into another log bumps only the donor's counter, so
+  rows are spliced into another log changes only the donor's token, so
   callers must detach (``unsplice``) first, exactly as the splice API
   already requires.
 
 Views are snapshots: they stay valid (and frozen in time) after the
-source log mutates; only the cache entry is replaced.
+source log mutates; only the cache entry is replaced.  Their arrays are
+shared by every reader and must not be written to; nothing enforces it.
 """
 
 from __future__ import annotations
@@ -71,10 +78,19 @@ class SparseInteractions:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_log(cls, log: "InteractionLog",
-                 version: int | None = None) -> "SparseInteractions":
-        """Build a CSR snapshot of ``log`` (users in ascending order)."""
+    def from_log(cls, log: "InteractionLog", version: int | None = None,
+                 without: "InteractionLog | None" = None
+                 ) -> "SparseInteractions":
+        """Build a CSR snapshot of ``log`` (users in ascending order).
+
+        ``without`` leaves out the users of a log spliced into ``log``,
+        which gives the snapshot of ``log`` before that splice.
+        """
         sequences = log._sequences
+        if without is not None:
+            sequences = {user: sequence
+                         for user, sequence in sequences.items()
+                         if user not in without._sequences}
         count = len(sequences)
         users = np.fromiter(sorted(sequences), dtype=np.int64, count=count)
         lengths = np.fromiter((len(sequences[int(u)]) for u in users),
@@ -119,6 +135,28 @@ class SparseInteractions:
             raise ValueError(
                 f"item ids outside universe [0, {num_items})")
         return cls(num_items, users, user_ptr, item_ids)
+
+    @pure
+    def spliced(self, other: "SparseInteractions",
+                version: int) -> "SparseInteractions":
+        """This snapshot with ``other``'s rows merged in by user id.
+
+        The users must be disjoint, as ``InteractionLog.splice``
+        requires; the result then equals :meth:`from_log` of the spliced
+        log array for array.  Each of ``other``'s rows goes in before
+        the first of this snapshot's rows with a larger user id (at the
+        end, for the attacker accounts ``RecommenderSystem`` appends).
+        """
+        at = np.searchsorted(self.users, other.users)
+        users = np.insert(self.users, at, other.users)
+        lengths = np.insert(self.lengths, at, other.lengths)
+        user_ptr = np.zeros(len(users) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=user_ptr[1:])
+        item_ids = np.insert(self.item_ids,
+                             np.repeat(self.user_ptr[at], other.lengths),
+                             other.item_ids)
+        return SparseInteractions(self.num_items, users, user_ptr,
+                                  item_ids, version)
 
     # ------------------------------------------------------------------
     # Shape
@@ -274,25 +312,39 @@ class SparseInteractions:
                 f"version={self.version})")
 
 
-#: One cached view per live log; entries die with the log.  Keyed by log
-#: identity, validated against the log's mutation counter on every read.
+#: Per live log: its latest view, and after a splice also the
+#: pre-splice view it was built from.  Entries die with the log.
 _VIEW_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @pure
 def sparse_view(log: "InteractionLog") -> SparseInteractions:
-    """The cached CSR view of ``log``, rebuilt iff the log has mutated.
+    """The cached CSR view of ``log``, rebuilt iff its contents changed.
 
     Observationally pure: the memo lives outside the log, is keyed by
-    identity, and is validated against ``log._version`` (bumped by
-    ``add`` / ``splice`` / ``unsplice``), so the returned arrays always
-    reflect the log's current contents.
+    identity, and is validated against the content token
+    ``log._version``, so the returned arrays always reflect the log's
+    current contents.  While the latest splice into ``log`` is its last
+    mutation, the view is the pre-splice view (cached, or built once
+    without the donor's users) with the donor's rows merged in.
     """
     version = log._version
-    view = _VIEW_CACHE.get(log)
-    if view is None or view.version != version:
+    cached = _VIEW_CACHE.get(log, ())
+    for view in cached:
+        if view.version == version:
+            return view
+    splice = log._splice
+    if splice is None or splice[2] != version:
         view = SparseInteractions.from_log(log, version=version)
-        _VIEW_CACHE[log] = view
+        _VIEW_CACHE[log] = (view,)
+        return view
+    donor, before, _ = splice
+    base = next((view for view in cached if view.version == before), None)
+    if base is None:
+        base = SparseInteractions.from_log(log, version=before,
+                                           without=donor)
+    view = base.spliced(sparse_view(donor), version)
+    _VIEW_CACHE[log] = (view, base)
     return view
 
 

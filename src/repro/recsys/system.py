@@ -113,6 +113,8 @@ class RecommenderSystem:
         self.ranker.restore(self._clean_state)
         # Pre-built merged-log skeleton: poison rows are spliced in and
         # out of this copy each query instead of re-copying the clean log.
+        # Its clean CSR view is built on the first query that reads it;
+        # each later query's view merges the poison rows into that one.
         self._merged_skeleton = self.clean_log.copy()
         self.incremental = incremental
         self.verify_incremental = verify_incremental

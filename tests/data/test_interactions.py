@@ -29,6 +29,26 @@ class TestInteractionLog:
         with pytest.raises(ValueError):
             log.add(0, -1)
 
+    def test_add_sequence_of_nothing_adds_no_user(self):
+        log = InteractionLog(5)
+        version = log._version
+        log.add_sequence(3, [])
+        assert 3 not in log
+        assert log.num_users == 0
+        assert log._version == version
+
+    def test_add_sequence_checks_every_item_before_any_lands(self):
+        log = InteractionLog(5)
+        log.add_sequence(0, [1])
+        version = log._version
+        with pytest.raises(ValueError, match="item 5 outside"):
+            log.add_sequence(0, [2, 3, 5, 4])
+        with pytest.raises(ValueError, match="item -1 outside"):
+            log.add_sequence(7, [2, -1])
+        assert log.sequence(0) == [1]
+        assert 7 not in log
+        assert log._version == version
+
     def test_sequence_returns_copy(self):
         log = InteractionLog(5)
         log.add_sequence(0, [1, 2])

@@ -163,7 +163,7 @@ class TestCache:
         log.add(0, 1)
         assert log._version == v + 1
         log.add_sequence(1, [2, 3])
-        assert log._version > v + 1
+        assert log._version == v + 2  # one new token per call, not per click
 
     def test_log_delegations_use_view(self):
         log = make_log()
@@ -178,6 +178,144 @@ class TestCache:
         view = sparse_view(log)
         assert as_sparse(view) is view
         assert as_sparse(log) is view
+
+
+def assert_same_arrays(view: SparseInteractions,
+                       expected: SparseInteractions) -> None:
+    """Equal item universe and equal CSR arrays, dtypes included."""
+    assert view.num_items == expected.num_items
+    for name in ("users", "user_ptr", "item_ids"):
+        got, want = getattr(view, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def spaced_log() -> InteractionLog:
+    """``make_log`` with users moved to 100, 103, 106, ... (gaps between)."""
+    log = InteractionLog(SPEC.num_items)
+    for user, sequence in make_log().iter_sequences():
+        log.add_sequence(100 + 3 * user, sequence)
+    return log
+
+
+def poison_log(users, seed: int = 0) -> InteractionLog:
+    rng = np.random.default_rng(seed)
+    poison = InteractionLog(SPEC.num_items)
+    for user in users:
+        poison.add_sequence(user, rng.integers(
+            0, SPEC.num_items, size=int(rng.integers(1, 6))).tolist())
+    return poison
+
+
+#: Poison users relative to the base users 100, 103, ..., 187.
+POISON_USERS = {
+    "above": [500, 501, 502],
+    "below": [0, 7, 99],
+    "between": [101, 102, 104, 186],
+    "mixed": [3, 101, 188, 900],
+}
+
+
+class TestSplicedView:
+    """A spliced log's view is merged from the pre-splice one, bit-equal."""
+
+    @pytest.mark.parametrize("where", sorted(POISON_USERS))
+    def test_matches_from_log(self, where):
+        log = spaced_log()
+        before = sparse_view(log)
+        poison = poison_log(POISON_USERS[where])
+        log.splice(poison)
+        view = sparse_view(log)
+        assert_same_arrays(view, SparseInteractions.from_log(log))
+        assert_view_matches_log(view, log)
+        log.unsplice(poison)
+        assert sparse_view(log) is before
+
+    @pytest.mark.parametrize("where", sorted(POISON_USERS))
+    def test_uncached_base_is_built_without_the_poison(self, where):
+        log = spaced_log()
+        clean = SparseInteractions.from_log(log)
+        poison = poison_log(POISON_USERS[where])
+        log.splice(poison)
+        assert_same_arrays(sparse_view(log),
+                           SparseInteractions.from_log(log))
+        log.unsplice(poison)
+        base = sparse_view(log)
+        assert_same_arrays(base, clean)
+        assert sparse_view(log) is base
+
+    def test_empty_poison_and_empty_base(self):
+        log = spaced_log()
+        before = sparse_view(log)
+        empty = InteractionLog(SPEC.num_items)
+        log.splice(empty)
+        assert_same_arrays(sparse_view(log), before)
+        log.unsplice(empty)
+        assert sparse_view(log) is before
+        host = InteractionLog(SPEC.num_items)
+        sparse_view(host)
+        poison = poison_log(POISON_USERS["mixed"])
+        host.splice(poison)
+        assert_same_arrays(sparse_view(host),
+                           SparseInteractions.from_log(poison))
+
+    def test_new_poison_never_reuses_an_old_view(self):
+        log = spaced_log()
+        sparse_view(log)
+        first = poison_log(POISON_USERS["above"], seed=1)
+        second = poison_log(POISON_USERS["above"], seed=2)
+        log.splice(first)
+        sparse_view(log)
+        log.unsplice(first)
+        log.splice(second)
+        assert_same_arrays(sparse_view(log),
+                           SparseInteractions.from_log(log))
+
+    @pytest.mark.parametrize("read_after_add", [False, True])
+    def test_add_during_splice_invalidates(self, read_after_add):
+        log = spaced_log()
+        before = sparse_view(log)
+        poison = poison_log(POISON_USERS["between"])
+        log.splice(poison)
+        sparse_view(log)
+        log.add(100, 3)
+        if read_after_add:
+            assert_same_arrays(sparse_view(log),
+                               SparseInteractions.from_log(log))
+        log.unsplice(poison)
+        after = sparse_view(log)
+        assert after is not before
+        assert_same_arrays(after, SparseInteractions.from_log(log))
+
+    def test_stacked_splices(self):
+        log = spaced_log()
+        sparse_view(log)
+        outer = poison_log(POISON_USERS["above"], seed=1)
+        inner = poison_log(POISON_USERS["below"], seed=2)
+        log.splice(outer)
+        outer_view = sparse_view(log)
+        log.splice(inner)
+        assert_same_arrays(sparse_view(log),
+                           SparseInteractions.from_log(log))
+        log.unsplice(inner)
+        assert sparse_view(log) is outer_view
+        log.unsplice(outer)
+        assert_same_arrays(sparse_view(log),
+                           SparseInteractions.from_log(log))
+
+    def test_unsplice_out_of_order(self):
+        log = spaced_log()
+        sparse_view(log)
+        outer = poison_log(POISON_USERS["above"], seed=1)
+        inner = poison_log(POISON_USERS["below"], seed=2)
+        log.splice(outer)
+        outer_view = sparse_view(log)
+        log.splice(inner)
+        sparse_view(log)
+        log.unsplice(outer)
+        view = sparse_view(log)
+        assert view is not outer_view
+        assert_same_arrays(view, SparseInteractions.from_log(log))
 
 
 class TestFromArrays:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import (DatasetSpec, InteractionLog, generate_log,
-                        leave_one_out_split)
+from repro.data import (DatasetSpec, InteractionLog, SparseInteractions,
+                        generate_log, leave_one_out_split, sparse_view)
 from repro.recsys import (RecommenderSystem, SnapshotMismatchError,
                           states_equal)
 
@@ -152,3 +152,49 @@ def test_attack_leaves_merged_skeleton_clean(dataset):
     users_before = set(system._merged_skeleton.users)
     system.attack(attack_batch(system)[0])
     assert set(system._merged_skeleton.users) == users_before
+
+
+# ----------------------------------------------------------------------
+# The skeleton's view: built once, only for rankers that read it
+# ----------------------------------------------------------------------
+def count_skeleton_builds(monkeypatch, system) -> list:
+    """Record every ``from_log`` call on the system's merged skeleton."""
+    builds = []
+    from_log = SparseInteractions.from_log.__func__
+
+    def counting(cls, log, *args, **kwargs):
+        if log is system._merged_skeleton:
+            builds.append(kwargs)
+        return from_log(cls, log, *args, **kwargs)
+
+    monkeypatch.setattr(SparseInteractions, "from_log",
+                        classmethod(counting))
+    return builds
+
+
+def test_learned_ranker_builds_the_skeleton_view_once(dataset, monkeypatch):
+    system = RecommenderSystem(dataset, "pmf", seed=0, num_attackers=8,
+                               ranker_kwargs=dict(dim=8, epochs=1))
+    skeleton = system._merged_skeleton
+    builds = count_skeleton_builds(monkeypatch, system)
+    for trajectories in attack_batch(system, seed=4, count=10):
+        system.attack(trajectories)
+    assert len(builds) == 1  # the clean view, on the first query
+    clean = sparse_view(skeleton)  # the pre-splice view, not a rebuild
+    assert len(builds) == 1
+    expected = SparseInteractions.from_log(system.clean_log)
+    for name in ("users", "user_ptr", "item_ids"):
+        assert np.array_equal(getattr(clean, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("ranker", ["itempop", "covisitation", "gru4rec"])
+def test_poison_only_rankers_build_no_skeleton_view(dataset, monkeypatch,
+                                                    ranker):
+    kwargs = dict(dim=8, epochs=1, update_epochs=1) \
+        if ranker == "gru4rec" else None
+    system = RecommenderSystem(dataset, ranker, seed=0, num_attackers=8,
+                               ranker_kwargs=kwargs)
+    builds = count_skeleton_builds(monkeypatch, system)
+    for trajectories in attack_batch(system, seed=5, count=3):
+        system.attack(trajectories)
+    assert builds == []
