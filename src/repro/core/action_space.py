@@ -149,7 +149,7 @@ class PlainActionSpace(ActionSpace):
     def step_log_probs(self, dnn_out: Tensor, features: Tensor,
                        decisions: Dict[str, np.ndarray]) -> Tensor:
         items = decisions["items"]
-        logits = dnn_out @ features[np.arange(self.num_items)].T
+        logits = dnn_out @ features[:self.num_items].T
         log_probs = F.log_softmax(logits, axis=1)
         picked = log_probs[np.arange(len(items)), items]
         return picked.reshape(len(items), 1)
@@ -208,13 +208,15 @@ class BPlainActionSpace(ActionSpace):
         batch = len(sides)
         rows = np.arange(batch)
 
-        set_feats = features[np.array([self.target_row, self.original_row])]
+        # The set rows, the target rows and the original rows are each
+        # one contiguous block of the table: slices, not gathers.
+        set_feats = features[self.target_row:self.original_row + 1]
         set_logits = dnn_out @ set_feats.T
         side_lp = F.log_softmax(set_logits, axis=1)[rows, sides]
 
-        target_logits = dnn_out @ features[self.target_items].T
-        original_logits = dnn_out @ features[np.arange(
-            self.num_original_items)].T
+        target_logits = dnn_out @ features[
+            self.num_original_items:self.num_items].T
+        original_logits = dnn_out @ features[:self.num_original_items].T
         # Positions within each set (clipped so gathers stay in-bounds for
         # rows belonging to the other set; the mask zeroes those out).
         target_pos = np.clip(items - self.num_original_items, 0,
@@ -296,25 +298,12 @@ class TreeActionSpace(ActionSpace):
     def step_log_probs(self, dnn_out: Tensor, features: Tensor,
                        decisions: Dict[str, np.ndarray]) -> Tensor:
         parents = decisions["parents"]
-        sides = decisions["sides"]
-        batch, depth = parents.shape
-        rows = np.arange(batch)
-        level_lps = []
-        for level in range(depth):
-            node = parents[:, level]
-            valid = node >= self.num_items
-            # Padded rows point at the root so gathers stay in-bounds; the
-            # PPO mask removes their contribution.
-            safe = np.where(valid, node, self.tree.root)
-            left, right = self.tree.children(safe)
-            feat_left = features[left]
-            feat_right = features[right]
-            score_left = (dnn_out * feat_left).sum(axis=1)
-            score_right = (dnn_out * feat_right).sum(axis=1)
-            logits = stack([score_left, score_right], axis=1)
-            lp = F.log_softmax(logits, axis=1)[rows, sides[:, level]]
-            level_lps.append(lp)
-        return stack(level_lps, axis=1)
+        # Padded levels point at the root so gathers stay in-bounds; the
+        # PPO mask zeroes their upstream gradient.
+        safe = np.where(parents >= self.num_items, parents, self.tree.root)
+        left, right = self.tree.children(safe)
+        return F.binary_choice_log_probs(dnn_out, features, safe, left,
+                                         right, decisions["sides"])
 
     def item_distribution(self, dnn_out: np.ndarray,
                           features: np.ndarray) -> np.ndarray:

@@ -45,6 +45,9 @@ class InteractionLog:
         #: ``(donor, token before, token after)`` of the latest splice
         #: while it is attached, from which the spliced view is built.
         self._splice: Optional[Tuple["InteractionLog", int, int]] = None
+        #: Every attached donor: their users' lists are shared, so adds
+        #: to those users are refused until the donor is unspliced.
+        self._donors: List["InteractionLog"] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -66,11 +69,17 @@ class InteractionLog:
 
         All or nothing: every item is checked before the first click
         lands, and an empty sequence adds nothing, not even an empty
-        entry for ``user``.
+        entry for ``user``.  A user grafted in by an attached
+        :meth:`splice` is refused: its list belongs to the donor log,
+        whose contents and cached view would change under its token.
         """
         items = list(items)
         if not items:
             return
+        if any(user in donor._sequences for donor in self._donors):
+            raise ValueError(
+                f"user {user} was grafted in by an attached splice; "
+                "unsplice the donor log before adding to it")
         if not (0 <= min(items) and max(items) < self.num_items):
             bad = next(item for item in items
                        if not 0 <= item < self.num_items)
@@ -85,7 +94,7 @@ class InteractionLog:
         clone._sequences = {u: list(seq) for u, seq in self._sequences.items()}
         return clone
 
-    @mutates("_sequences", "_version", "_clock", "_splice")
+    @mutates("_sequences", "_version", "_clock", "_splice", "_donors")
     @sanctioned_channel
     def splice(self, other: "InteractionLog") -> None:
         """Graft ``other``'s sequences into this log without copying.
@@ -95,7 +104,8 @@ class InteractionLog:
         dict insert per user instead of re-copying the whole log.  The
         users must be disjoint from this log's (poison rows belong to
         fresh attacker accounts), and neither log may be mutated while
-        the splice is active; call :meth:`unsplice` to detach.
+        the splice is active (adds to the grafted users raise); call
+        :meth:`unsplice` to detach.
 
         The splice is recorded, so the CSR view of the spliced log is
         built from the pre-splice view and ``other``'s view with array
@@ -114,8 +124,9 @@ class InteractionLog:
         before = self._version
         self._touch()
         self._splice = (other, before, self._version)
+        self._donors.append(other)
 
-    @mutates("_sequences", "_version", "_clock", "_splice")
+    @mutates("_sequences", "_version", "_clock", "_splice", "_donors")
     @sanctioned_channel
     def unsplice(self, other: "InteractionLog") -> None:
         """Detach sequences previously grafted by :meth:`splice`.
@@ -126,6 +137,8 @@ class InteractionLog:
         """
         for user in other._sequences:
             self._sequences.pop(user, None)
+        self._donors = [donor for donor in self._donors
+                        if donor is not other]
         splice, self._splice = self._splice, None
         if (splice is not None and splice[0] is other
                 and splice[2] == self._version):

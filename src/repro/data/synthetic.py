@@ -145,15 +145,19 @@ def generate_log(spec: DatasetSpec, seed: int = 0) -> InteractionLog:
     global_weights[ranks] = zipf_weights(num_items, spec.zipf_exponent)
 
     # Clusters: items partitioned (roughly popularity-mixed) into clusters.
+    # Each click draws an item as ``rng.choice(members, p=weights)``
+    # would, from a CDF built once per cluster instead of once per click:
+    # the same items and the same generator state.
     item_cluster = rng.integers(0, spec.num_clusters, size=num_items)
-    cluster_weights = []
+    cluster_tables = []
     for cluster in range(spec.num_clusters):
         members = np.flatnonzero(item_cluster == cluster)
         if members.size == 0:
             # Guarantee every cluster is samplable.
             members = np.array([int(rng.integers(num_items))])
         weights = global_weights[members]
-        cluster_weights.append((members, weights / weights.sum()))
+        cluster_tables.append((members, _choice_cdf(weights / weights.sum())))
+    global_table = (np.arange(num_items), _choice_cdf(global_weights))
 
     mean_len = spec.mean_sequence_length()
     sigma = 0.6
@@ -170,19 +174,27 @@ def generate_log(spec: DatasetSpec, seed: int = 0) -> InteractionLog:
         for _ in range(length):
             roll = rng.random()
             if previous >= 0 and roll < spec.sequence_locality:
-                members, weights = cluster_weights[item_cluster[previous]]
+                members, cdf = cluster_tables[item_cluster[previous]]
             elif roll < spec.sequence_locality + spec.cluster_affinity * (
                     1.0 - spec.sequence_locality):
-                members, weights = cluster_weights[user_cluster]
+                members, cdf = cluster_tables[user_cluster]
             else:
-                members, weights = np.arange(num_items), global_weights
-            item = int(rng.choice(members, p=weights))
+                members, cdf = global_table
+            item = int(members[cdf.searchsorted(rng.random(), side="right")])
             if item == previous and num_items > 1:
-                item = int(rng.choice(members, p=weights))
+                item = int(members[cdf.searchsorted(rng.random(),
+                                                    side="right")])
             sequence.append(item)
             previous = item
         log.add_sequence(user, sequence)
     return log
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(a, p=p)`` searches with one uniform draw."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _cluster_tables(rng: np.random.Generator, global_weights: np.ndarray,

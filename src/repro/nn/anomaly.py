@@ -6,11 +6,11 @@ closure-based graph (the analogue of ``torch.autograd.set_detect_anomaly``):
 * :class:`detect_anomaly` — a context manager that instruments every op
   created inside it.  Forward outputs are checked for NaN/Inf as each
   graph node is built; every gradient accumulated during ``backward()``,
-  dense or as a gather's row block, is checked for NaN/Inf and for silent
-  shape broadcasts.  The *first* corrupted node raises
-  :class:`AnomalyError` naming the offending op and the shapes of its
-  parents, instead of letting the corruption propagate into PPO's reward
-  normalization or a recommender's update step.
+  dense, as a gather's row block or into a slice's region, is checked
+  for NaN/Inf and for silent shape broadcasts.  The *first* corrupted
+  node raises :class:`AnomalyError` naming the offending op and the
+  shapes of its parents, instead of letting the corruption propagate
+  into PPO's reward normalization or a recommender's update step.
 * :func:`validate_graph` — a post-``backward()`` structural validator:
   confirms the recorded graph admits a topological order (no cycles) and
   that no backward closure orphaned one of its differentiable parents
@@ -64,6 +64,7 @@ class _AnomalyState:
         self.original_make = None
         self.original_accumulate = None
         self.original_accumulate_rows = None
+        self.original_accumulate_region = None
 
 
 _STATE = _AnomalyState()
@@ -136,6 +137,21 @@ def _checked_accumulate_rows(self: Tensor, rows: np.ndarray,
     _STATE.original_accumulate_rows(self, rows, block)
 
 
+def _checked_accumulate_region(self: Tensor, idx, grad: np.ndarray) -> None:
+    if self.requires_grad:
+        where = _where()
+        region = self.data[idx].shape
+        if np.shape(grad) != region:
+            raise AnomalyError(
+                f"shape mismatch in {where}: accumulating gradient of "
+                f"shape {np.shape(grad)} into a region of shape {region} "
+                f"of a tensor of shape {self.data.shape}")
+        _require_finite(np.asarray(grad),
+                        f"gradient produced by {where} for a parent of "
+                        f"shape {self.data.shape}")
+    _STATE.original_accumulate_region(self, idx, grad)
+
+
 class detect_anomaly:
     """Context manager enabling the autograd sanitizer.
 
@@ -154,9 +170,11 @@ class detect_anomaly:
             _STATE.original_make = Tensor._make
             _STATE.original_accumulate = Tensor._accumulate
             _STATE.original_accumulate_rows = Tensor._accumulate_rows
+            _STATE.original_accumulate_region = Tensor._accumulate_region
             Tensor._make = staticmethod(_checked_make)
             Tensor._accumulate = _checked_accumulate
             Tensor._accumulate_rows = _checked_accumulate_rows
+            Tensor._accumulate_region = _checked_accumulate_region
         _STATE.depth += 1
         return self
 
@@ -166,9 +184,11 @@ class detect_anomaly:
             Tensor._make = staticmethod(_STATE.original_make)
             Tensor._accumulate = _STATE.original_accumulate
             Tensor._accumulate_rows = _STATE.original_accumulate_rows
+            Tensor._accumulate_region = _STATE.original_accumulate_region
             _STATE.original_make = None
             _STATE.original_accumulate = None
             _STATE.original_accumulate_rows = None
+            _STATE.original_accumulate_region = None
             _STATE.current_op = None
             _STATE.current_parents = ()
 

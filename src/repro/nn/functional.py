@@ -8,8 +8,9 @@ recommenders and the PoisonRec policy network need.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .tensor import Tensor, unbroadcast
+from .tensor import Tensor, row_sums, unbroadcast
 
 _EPS = 1e-12
 
@@ -145,6 +146,72 @@ def spmm(sparse_matrix, x: Tensor) -> Tensor:
         x._accumulate(transposed @ g)
 
     return Tensor._make(np.asarray(out_data), (x,), backward)
+
+
+def binary_choice_log_probs(query: Tensor, table: Tensor,
+                            parents: np.ndarray, left: np.ndarray,
+                            right: np.ndarray, choice: np.ndarray) -> Tensor:
+    """Log-probabilities of recorded two-way choices between table rows.
+
+    Decision ``(b, d)`` chose ``choice[b, d]`` (0 = left, 1 = right)
+    between rows ``left[b, d]`` and ``right[b, d]`` of ``table``, the
+    children of node ``parents[b, d]``, with logits ``query[b] @
+    table[child]``.  Returns the ``(B, D)`` log-probabilities of the
+    chosen children under a two-way log-softmax.  This is one BCBT tree
+    walk (Equation 9): all of its levels are one graph node.
+
+    Every occurrence of a parent must name the same two children.  The
+    forward runs the same numpy operations as a per-decision product,
+    sum and log-softmax, so its values are bit-equal to them.  The
+    backward uses that the right logit's gradient is minus the left
+    one's: it sums ``gradient * query`` once per distinct parent (one
+    sparse matmul), then adds the sum to the left child's row and
+    subtracts it from the right child's row.
+    """
+    left_rows = table.data[left]
+    right_rows = table.data[right]
+    q = query.data[:, None, :]
+    logits = np.stack([(q * left_rows).sum(axis=-1),
+                       (q * right_rows).sum(axis=-1)], axis=-1)
+    row_gap = left_rows - right_rows
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out_data = np.take_along_axis(log_probs, choice[..., None], axis=-1)[..., 0]
+    # d out / d left logit; the right logit's derivative is its negative.
+    left_slope = (choice == 0) - np.exp(log_probs[..., 0])
+
+    # Group the decisions by parent, in CSR order (row = distinct parent,
+    # column = batch row), and check that each parent's children agree.
+    flat = parents.ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    indptr = np.r_[starts, flat.size]
+    children = [child.ravel()[order] for child in (left, right)]
+    if any(not np.array_equal(np.repeat(c[starts], np.diff(indptr)), c)
+           for c in children):
+        raise ValueError("every occurrence of a parent must name the same "
+                         "left and right children")
+    rows = np.concatenate([c[starts] for c in children])
+    distinct = len(np.unique(rows)) == len(rows)
+    batch_rows = order // parents.shape[1]
+
+    def backward(g: np.ndarray) -> None:
+        slope = g * left_slope
+        if query.requires_grad:
+            query._accumulate(np.matmul(slope[:, None, :], row_gap)[:, 0])
+        if table.requires_grad:
+            by_parent = sp.csr_matrix(
+                (slope.ravel()[order], batch_rows, indptr),
+                shape=(len(starts), len(query.data)))
+            per_parent = by_parent @ query.data
+            block = np.concatenate([per_parent, -per_parent])
+            if distinct:
+                table._accumulate_rows(rows, block)
+            else:
+                table._accumulate_rows(*row_sums(rows, block, table.shape))
+
+    return Tensor._make(out_data, (query, table), backward)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor,

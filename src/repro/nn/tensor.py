@@ -75,6 +75,15 @@ def row_sums(ids: np.ndarray, values: np.ndarray,
     return rows, block
 
 
+def _is_basic_index(idx) -> bool:
+    """Whether ``idx`` is a numpy basic index of integers and slices."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(part, slice) or part is Ellipsis
+               or (isinstance(part, (int, np.integer))
+                   and not isinstance(part, bool))
+               for part in parts)
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff support.
 
@@ -160,6 +169,18 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data, dtype=_FLOAT)
         self.grad[rows] += block
+
+    def _accumulate_region(self, idx, grad: np.ndarray) -> None:
+        """Add ``grad`` into the gradient region ``self.grad[idx]``.
+
+        ``idx`` is a basic index (integers and slices), so the region's
+        entries are distinct and ``+=`` adds each exactly once.
+        """
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data, dtype=_FLOAT)
+        self.grad[idx] += grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -348,16 +369,21 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         a = self
         # A row gather (embedding lookup, feature-table rows) gives only
-        # the gathered rows a gradient.
+        # the gathered rows a gradient; a basic index (a slice, a gate
+        # block) only its region.  Other fancy indices may repeat an
+        # entry, so they add through a dense ``np.add.at``.
         gathers_rows = isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
+        basic = _is_basic_index(idx)
 
         def backward(g: np.ndarray) -> None:
             if gathers_rows:
                 a._accumulate_rows(*row_sums(idx, g, a.shape))
-                return
-            full = np.zeros_like(a.data, dtype=_FLOAT)
-            np.add.at(full, idx, g)
-            a._accumulate(full)
+            elif basic:
+                a._accumulate_region(idx, g)
+            else:
+                full = np.zeros_like(a.data, dtype=_FLOAT)
+                np.add.at(full, idx, g)
+                a._accumulate(full)
 
         return Tensor._make(a.data[idx], (a,), backward)
 

@@ -303,6 +303,48 @@ class TestSplicedView:
         assert_same_arrays(sparse_view(log),
                            SparseInteractions.from_log(log))
 
+    def test_add_to_a_grafted_user_is_refused(self):
+        host = spaced_log()
+        poison = InteractionLog(SPEC.num_items)
+        poison.add(5, 7)
+        sparse_view(poison)
+        host.splice(poison)
+        host_view = sparse_view(host)
+        with pytest.raises(ValueError, match="grafted"):
+            host.add(5, 9)
+        with pytest.raises(ValueError, match="grafted"):
+            host.add_sequence(5, [1, 2])
+        assert poison.sequence(5) == [7]
+        assert_same_arrays(sparse_view(poison),
+                           SparseInteractions.from_log(poison))
+        assert sparse_view(host) is host_view
+        # The host's own users still take adds, and so does user 5 once
+        # the donor is detached.
+        host.add(100, 3)
+        assert_same_arrays(sparse_view(host),
+                           SparseInteractions.from_log(host))
+        host.unsplice(poison)
+        host.add(5, 9)
+        assert host.sequence(5) == [9]
+        assert poison.sequence(5) == [7]
+
+    def test_stacked_donors_stay_guarded(self):
+        log = spaced_log()
+        outer = poison_log(POISON_USERS["above"], seed=1)
+        inner = poison_log(POISON_USERS["below"], seed=2)
+        log.splice(outer)
+        log.splice(inner)
+        for user in (500, 7):
+            with pytest.raises(ValueError, match="grafted"):
+                log.add(user, 1)
+        log.unsplice(outer)
+        log.add(500, 1)
+        with pytest.raises(ValueError, match="grafted"):
+            log.add(7, 1)
+        # The add after the unsplice went to the host's own new entry.
+        assert outer.sequence(500) == poison_log(
+            POISON_USERS["above"], seed=1).sequence(500)
+
     def test_unsplice_out_of_order(self):
         log = spaced_log()
         sparse_view(log)

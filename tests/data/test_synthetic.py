@@ -6,6 +6,9 @@ import pytest
 from repro.data import (DATASET_NAMES, PAPER_SPECS, DatasetSpec, generate_log,
                         generate_sparse_log,
                         load_dataset, scaled_spec)
+from repro.data.interactions import InteractionLog
+from repro.data.popularity import zipf_weights
+from repro.data.splits import leave_one_out_split
 
 
 class TestScaledSpec:
@@ -70,6 +73,95 @@ class TestGenerateLog:
         counts = np.sort(log.item_counts())[::-1]
         top_share = counts[:8].sum() / counts.sum()
         assert top_share > 2 * (8 / self.SPEC.num_items)
+
+
+def choice_generate_log(spec: DatasetSpec, seed: int = 0):
+    """The per-click ``rng.choice`` generator: the oracle for generate_log.
+
+    Returns the log and the generator, so its final state can be
+    compared too.
+    """
+    rng = np.random.default_rng(seed)
+    num_items = spec.num_items
+    ranks = rng.permutation(num_items)
+    global_weights = np.empty(num_items)
+    global_weights[ranks] = zipf_weights(num_items, spec.zipf_exponent)
+    item_cluster = rng.integers(0, spec.num_clusters, size=num_items)
+    cluster_weights = []
+    for cluster in range(spec.num_clusters):
+        members = np.flatnonzero(item_cluster == cluster)
+        if members.size == 0:
+            members = np.array([int(rng.integers(num_items))])
+        weights = global_weights[members]
+        cluster_weights.append((members, weights / weights.sum()))
+    mean_len = spec.mean_sequence_length()
+    sigma = 0.6
+    mu = np.log(max(mean_len, spec.min_sequence_length)) - sigma ** 2 / 2
+    log = InteractionLog(num_items)
+    for user in range(spec.num_users):
+        length = max(spec.min_sequence_length,
+                     int(round(rng.lognormal(mu, sigma))))
+        length = min(length, max(spec.min_sequence_length, num_items - 1))
+        user_cluster = int(rng.integers(spec.num_clusters))
+        sequence = []
+        previous = -1
+        for _ in range(length):
+            roll = rng.random()
+            if previous >= 0 and roll < spec.sequence_locality:
+                members, weights = cluster_weights[item_cluster[previous]]
+            elif roll < spec.sequence_locality + spec.cluster_affinity * (
+                    1.0 - spec.sequence_locality):
+                members, weights = cluster_weights[user_cluster]
+            else:
+                members, weights = np.arange(num_items), global_weights
+            item = int(rng.choice(members, p=weights))
+            if item == previous and num_items > 1:
+                item = int(rng.choice(members, p=weights))
+            sequence.append(item)
+            previous = item
+        log.add_sequence(user, sequence)
+    return log, rng
+
+
+class TestGenerateLogMatchesChoice:
+    """CDFs built once per cluster draw what per-click ``choice`` draws."""
+
+    @staticmethod
+    def assert_same(spec: DatasetSpec, seed: int, monkeypatch) -> None:
+        made = []
+        real = np.random.default_rng
+
+        def default_rng(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        shipped = generate_log(spec, seed=seed)
+        oracle, _ = choice_generate_log(spec, seed=seed)
+        assert len(made) == 2
+        assert (made[0].bit_generator.state
+                == made[1].bit_generator.state)
+        assert dict(shipped.iter_sequences()) == dict(oracle.iter_sequences())
+        split, oracle_split = (leave_one_out_split(spec.name, log)
+                               for log in (shipped, oracle))
+        assert (dict(split.train.iter_sequences())
+                == dict(oracle_split.train.iter_sequences()))
+        assert split.validation == oracle_split.validation
+        assert split.test == oracle_split.test
+
+    @pytest.mark.parametrize("seed", [0, 1, 13])
+    @pytest.mark.parametrize("scale", ["ci", "small"])
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_presets(self, name, scale, seed, monkeypatch):
+        factor = {"ci": 0.02, "small": 0.08}[scale]
+        self.assert_same(scaled_spec(PAPER_SPECS[name], factor), seed,
+                         monkeypatch)
+
+    def test_paper_step_dataset(self, monkeypatch):
+        # Steam at scale 0.6: the 3,080-item catalog of the paper-step
+        # benchmark workload.
+        self.assert_same(scaled_spec(PAPER_SPECS["steam"], 0.6), 0,
+                         monkeypatch)
 
 
 class TestLoadDataset:

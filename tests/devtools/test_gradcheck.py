@@ -84,6 +84,26 @@ _PARITY_W = np.linspace(-0.4, 0.7, 10).reshape(5, 2)
 _PARITY_SPARSE = sp.csr_matrix(np.arange(12, dtype=float).reshape(4, 3) * 0.1)
 _PARITY_TARGETS = np.linspace(0.1, 0.9, 15).reshape(3, 5)
 
+#: A two-level tree walk over a five-row table, for the fused tree op:
+#: node 4 is the root with children (3, 2) and node 3 has children
+#: (0, 1), so the root repeats as a parent.  The last row stops after one
+#: decision; its second level is padding, which points at the root and
+#: has its gradient taken away by a zero mask, as in the PPO loss.
+_TREE_PARENTS = np.array([[4, 3], [4, 3], [4, 4]])
+_TREE_LEFT = np.array([[3, 0], [3, 0], [3, 3]])
+_TREE_RIGHT = np.array([[2, 1], [2, 1], [2, 2]])
+_TREE_CHOICE = np.array([[0, 1], [0, 0], [1, 0]])
+_TREE_MASK = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+_TREE_INTERNAL_ROWS = np.linspace(-0.8, 0.9, 10).reshape(2, 5)
+_TREE_QUERY = np.linspace(0.6, -0.5, 15).reshape(3, 5)
+
+
+def _tree_walk(query: Tensor, table: Tensor) -> Tensor:
+    return F.binary_choice_log_probs(
+        query, table, _TREE_PARENTS, _TREE_LEFT, _TREE_RIGHT,
+        _TREE_CHOICE) * Tensor(_TREE_MASK)
+
+
 #: One numeric gradient check per differentiable op of the engine — the
 #: parity test below fails when a new op lands without gradient coverage.
 OP_GRADCHECKS = {
@@ -106,6 +126,19 @@ OP_GRADCHECKS = {
     "binary_cross_entropy_with_logits":
         lambda x: F.binary_cross_entropy_with_logits(x, _PARITY_TARGETS),
     "mse_loss": lambda x: F.mse_loss(x, _PARITY_TARGETS),
+    # The query gradient, and the table gradient of the three leaf rows
+    # (the two internal-node rows are constants stacked under them).
+    "binary_choice_log_probs": lambda x: _tree_walk(
+        x, Tensor(np.concatenate([_PARITY_X0, _TREE_INTERNAL_ROWS]))),
+    "binary_choice_log_probs_table": lambda x: _tree_walk(
+        Tensor(_TREE_QUERY), concatenate([x, Tensor(_TREE_INTERNAL_ROWS)])),
+    # Row 1 is the right child of node 5 and the left child of node 6:
+    # both of its gradient contributions must land.
+    "binary_choice_log_probs_shared_child": lambda x: (
+        F.binary_choice_log_probs(
+            Tensor(_TREE_QUERY[:2]), x, np.array([[5, 6], [6, 5]]),
+            np.array([[0, 1], [1, 0]]), np.array([[1, 2], [2, 1]]),
+            np.array([[1, 0], [1, 1]]))),
     "concatenate": lambda x: concatenate([x, x * 2.0], axis=1),
     "stack": lambda x: stack([x, x * 0.5], axis=0),
     "add": lambda x: x + 1.5,

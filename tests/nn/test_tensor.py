@@ -209,6 +209,60 @@ class TestRowSparseGather:
         assert results[0] == results[1]
 
 
+class TestBasicIndexRegion:
+    """A slice or integer gather's gradient is the dense rule's, bit for bit.
+
+    The region rule adds the upstream gradient into ``.grad[idx]``; the
+    dense rule adds a zero table with the gradient scattered in.
+    """
+
+    @pytest.mark.parametrize("idx", [
+        (slice(None), slice(2, 5)),
+        slice(1, 4),
+        2,
+        -1,
+        (slice(None, None, 2), 3),
+        (Ellipsis, slice(0, 2)),
+        np.int64(4),
+    ], ids=["gate-block", "row-prefix", "int", "minus-one", "strided-int",
+            "ellipsis", "numpy-int"])
+    @pytest.mark.parametrize("prefilled", [False, True],
+                             ids=["empty-grad", "prefilled-grad"])
+    def test_matches_dense_rule(self, idx, prefilled):
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(6, 7))
+        upstream = spread(rng, table[idx].shape)
+        prefill = spread(rng, table.shape) if prefilled else None
+        region = gather_grad(Tensor.__getitem__, table, idx, upstream,
+                             prefill)
+        dense = gather_grad(dense_getitem, table, idx, upstream, prefill)
+        assert region.tobytes() == dense.tobytes()
+
+    def test_takes_the_region_channel(self, monkeypatch):
+        calls = []
+        real = Tensor._accumulate_region
+
+        def spy(self, idx, grad):
+            calls.append(idx)
+            real(self, idx, grad)
+
+        monkeypatch.setattr(Tensor, "_accumulate_region", spy)
+        t = Tensor(np.ones((4, 6)), requires_grad=True)
+        (t[:, 0:3].sum() + t[1].sum()).backward()
+        assert len(calls) == 2
+        assert 1 in calls and (slice(None), slice(0, 3)) in calls
+        np.testing.assert_array_equal(
+            t.grad, [[1, 1, 1, 0, 0, 0], [2, 2, 2, 1, 1, 1],
+                     [1, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0]])
+
+    def test_fancy_tuples_keep_the_dense_rule(self):
+        # A tuple of arrays may name an entry twice: both additions land.
+        t = Tensor(np.zeros((3, 3)), requires_grad=True)
+        t[np.array([0, 0, 2]), np.array([1, 1, 2])].sum().backward()
+        np.testing.assert_array_equal(
+            t.grad, [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
+
+
 class TestReductions:
     def test_sum_axis_keepdims(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -1,9 +1,14 @@
-"""Row-sparse gradients leave every trained parameter byte-identical.
+"""Row-sparse and region gradients leave every parameter byte-identical.
 
 Each case trains twice from the same seeds: once as shipped, and once
 with the dense oracles patched in (the dense gather backward and the
 dense MF minibatch step, which sum whole-table gradients).  Every
-parameter must come out with the same bytes.
+parameter must come out with the same bytes.  The shipped gather takes
+the row rule for integer arrays and the region rule for basic indices:
+the plain spaces' item-table slices, the LSTM's gate blocks and the
+GRU's ``zr`` blocks (GRU4Rec).  Under the dense oracle a slice reads
+the same rows, in the same layout, as the ``np.arange`` gather it
+replaced.
 """
 
 import numpy as np
