@@ -10,7 +10,9 @@ For each scale the bench
 
 1. generates a synthetic log straight into the CSR substrate with
    :func:`repro.data.generate_sparse_log` (timed),
-2. fits all 8 rankers on the sparse view (timed),
+2. fits all 8 rankers on the sparse view (timed), then times one
+   ``snapshot()`` of the fit ranker and a ``restore()`` of it (best of
+   three after a warm-up call: the reload Algorithm 1 pays per query),
 3. times batched scoring (``score_batch``) against the serial
    per-user ``score`` loop on the same candidate matrix, and asserts
    the batched path is never slower; at 10⁵ users the batched kernels
@@ -105,6 +107,8 @@ def bench_one_scale(num_users: int, seed: int = 0) -> dict:
         ranker = make_ranker(name, num_users, spec.num_items, seed=seed,
                              **FAST_KWARGS.get(name, {}))
         _, fit_seconds = time_call(lambda: ranker.fit(view))
+        snapshot, snapshot_seconds = time_best(ranker.snapshot)
+        _, restore_seconds = time_best(lambda: ranker.restore(snapshot))
         batched, batched_seconds = time_best(
             lambda: ranker.score_batch(eval_users, candidates))
         _, loop_sample_seconds = time_best(lambda: np.stack(
@@ -114,6 +118,8 @@ def bench_one_scale(num_users: int, seed: int = 0) -> dict:
         assert batched.shape == candidates.shape
         entry["rankers"][name] = {
             "fit_seconds": fit_seconds,
+            "snapshot_seconds": snapshot_seconds,
+            "restore_seconds": restore_seconds,
             "batched_score_seconds": batched_seconds,
             "loop_score_seconds": loop_seconds,
             "speedup": loop_seconds / max(batched_seconds, 1e-12),
@@ -158,11 +164,14 @@ def test_scale_curve(benchmark):
         for name, stats in point["rankers"].items():
             rows.append([point["users"], name,
                          f"{stats['fit_seconds']:.3f}",
+                         f"{stats['snapshot_seconds']*1e3:.2f}",
+                         f"{stats['restore_seconds']*1e3:.2f}",
                          f"{stats['batched_score_seconds']*1e3:.1f}",
                          f"{stats['loop_score_seconds']*1e3:.1f}",
                          f"{stats['speedup']:.1f}x"])
     emit("scale_curve",
-         format_table(["users", "ranker", "fit_s", "batched_ms",
+         format_table(["users", "ranker", "fit_s", "snapshot_ms",
+                       "restore_ms", "batched_ms",
                        "loop_ms", "speedup"], rows))
 
     # Gates run AFTER the emit so a failing run still leaves the full

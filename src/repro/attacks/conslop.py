@@ -114,10 +114,10 @@ class ConsLOP(Attack):
         counts = self.solve()
         # Each co-visitation is one click on the target followed by one
         # click on the chosen original item.
-        covisits: List[int] = []
+        partners: List[int] = []
         for item, count in enumerate(counts):
-            covisits.extend([item] * int(count))
-        self.rng.shuffle(covisits)
+            partners.extend([item] * int(count))
+        self.rng.shuffle(partners)
 
         trajectories: List[List[int]] = []
         cursor = 0
@@ -125,8 +125,8 @@ class ConsLOP(Attack):
         for _ in range(self.budget.num_attackers):
             trajectory: List[int] = []
             for _ in range(per_attacker):
-                if cursor < len(covisits):
-                    partner = covisits[cursor]
+                if cursor < len(partners):
+                    partner = partners[cursor]
                     cursor += 1
                 else:
                     partner = int(self.rng.integers(

@@ -26,11 +26,11 @@ class InteractionLog:
         Size of the item universe.  Items are integer ids in
         ``[0, num_items)``; this includes any appended target items.
 
-    Bulk reads (``pairs``, ``item_counts``, ``to_implicit_matrix``) are
-    served from a cached CSR view (see :mod:`repro.data.sparse`), keyed
-    by the content token ``_version``.  Every mutator gives the log a
-    token it never had, so no two contents of a log share a token and
-    the cache can never go stale.
+    Bulk reads (``pairs``, ``item_counts``) are served from a cached
+    CSR view (see :mod:`repro.data.sparse`), keyed by the content token
+    ``_version``.  Every mutator gives the log a token it never had, so
+    no two contents of a log share a token and the cache can never go
+    stale.
     """
 
     def __init__(self, num_items: int) -> None:
@@ -48,6 +48,9 @@ class InteractionLog:
         #: Every attached donor: their users' lists are shared, so adds
         #: to those users are refused until the donor is unspliced.
         self._donors: List["InteractionLog"] = []
+        #: How many hosts this log is spliced into: while any, it refuses
+        #: adds, since the hosts share its lists.
+        self._hosts = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -72,10 +75,16 @@ class InteractionLog:
         entry for ``user``.  A user grafted in by an attached
         :meth:`splice` is refused: its list belongs to the donor log,
         whose contents and cached view would change under its token.
+        So is any add to a log while it is spliced into another: the
+        host shares its lists.
         """
         items = list(items)
         if not items:
             return
+        if self._hosts:
+            raise ValueError(
+                "this log is spliced into another log; unsplice it "
+                "before adding to it")
         if any(user in donor._sequences for donor in self._donors):
             raise ValueError(
                 f"user {user} was grafted in by an attached splice; "
@@ -94,7 +103,8 @@ class InteractionLog:
         clone._sequences = {u: list(seq) for u, seq in self._sequences.items()}
         return clone
 
-    @mutates("_sequences", "_version", "_clock", "_splice", "_donors")
+    @mutates("_sequences", "_version", "_clock", "_splice", "_donors",
+             "other._hosts")
     @sanctioned_channel
     def splice(self, other: "InteractionLog") -> None:
         """Graft ``other``'s sequences into this log without copying.
@@ -104,8 +114,8 @@ class InteractionLog:
         dict insert per user instead of re-copying the whole log.  The
         users must be disjoint from this log's (poison rows belong to
         fresh attacker accounts), and neither log may be mutated while
-        the splice is active (adds to the grafted users raise); call
-        :meth:`unsplice` to detach.
+        the splice is active (adds to the grafted users, and any add to
+        ``other``, raise); call :meth:`unsplice` to detach.
 
         The splice is recorded, so the CSR view of the spliced log is
         built from the pre-splice view and ``other``'s view with array
@@ -125,8 +135,10 @@ class InteractionLog:
         self._touch()
         self._splice = (other, before, self._version)
         self._donors.append(other)
+        other._hosts += 1
 
-    @mutates("_sequences", "_version", "_clock", "_splice", "_donors")
+    @mutates("_sequences", "_version", "_clock", "_splice", "_donors",
+             "other._hosts")
     @sanctioned_channel
     def unsplice(self, other: "InteractionLog") -> None:
         """Detach sequences previously grafted by :meth:`splice`.
@@ -137,8 +149,9 @@ class InteractionLog:
         """
         for user in other._sequences:
             self._sequences.pop(user, None)
-        self._donors = [donor for donor in self._donors
-                        if donor is not other]
+        kept = [donor for donor in self._donors if donor is not other]
+        other._hosts -= len(self._donors) - len(kept)
+        self._donors = kept
         splice, self._splice = self._splice, None
         if (splice is not None and splice[0] is other
                 and splice[2] == self._version):
@@ -200,15 +213,6 @@ class InteractionLog:
     def item_counts(self) -> np.ndarray:
         """Per-item click counts (the popularity signal attackers can crawl)."""
         return sparse_view(self).item_counts()
-
-    @pure
-    def to_implicit_matrix(self, num_users: int | None = None) -> np.ndarray:
-        """Dense 0/1 user-item matrix (small scales only; used by AutoRec).
-
-        Prefer ``sparse_view(log).to_implicit_csr(...)`` at scale — this
-        dense form exists for tests and tiny fixtures.
-        """
-        return sparse_view(self).to_implicit_dense(num_users)
 
     def __repr__(self) -> str:
         return (f"InteractionLog(users={self.num_users}, "

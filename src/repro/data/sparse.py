@@ -12,8 +12,8 @@ CSR snapshot holding three contiguous arrays
 
 so ``item_ids[user_ptr[i]:user_ptr[i + 1]]`` is user ``users[i]``'s
 sequence.  Every bulk read the rankers need — ``pairs()``,
-``item_counts()``, last-n windows, consecutive click pairs, implicit
-matrices — becomes a single vectorized pass over these arrays.
+``item_counts()``, last-n windows, consecutive click pairs, the rows of
+a batch of users — becomes a single vectorized pass over these arrays.
 
 Cache-invalidation contract
 ---------------------------
@@ -239,61 +239,44 @@ class SparseInteractions:
                        + self.item_ids)
 
     @pure
-    @shape_spec("_ -> (U, N)")
-    def to_implicit_dense(self, num_users: int | None = None) -> np.ndarray:
-        """Dense 0/1 user-item matrix (small scales only).
+    def row_bounds(self, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR ``(starts, stops)`` of each of ``users``' rows.
 
-        Row index is the raw user id; users at or beyond ``num_users``
-        are dropped, matching ``InteractionLog.to_implicit_matrix``.
+        An unknown user's row is empty (``starts == stops``).
         """
-        n_users = num_users if num_users is not None else (
-            int(self.users[-1]) + 1 if len(self.users) else 0)
-        matrix = np.zeros((n_users, self.num_items))
-        click_users = self.click_users()
-        keep = click_users < n_users
-        matrix[click_users[keep], self.item_ids[keep]] = 1.0
-        return matrix
+        users = np.asarray(users, dtype=np.int64)
+        at = np.searchsorted(self.users, users)
+        known = np.zeros(users.shape, dtype=bool)
+        inside = at < len(self.users)
+        known[inside] = self.users[at[inside]] == users[inside]
+        starts = np.where(known, self.user_ptr[at], 0)
+        stops = np.where(known,
+                         self.user_ptr[np.minimum(at + 1, len(self.users))],
+                         0)
+        return starts, stops
 
     @pure
-    def to_implicit_csr(self, num_users: int | None = None):
-        """The CSR replacement for the dense implicit matrix.
+    def rows_of(self, users: np.ndarray, last: int | None = None
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``users``' rows back to back, as ``(lengths, item_ids)``.
 
-        Returns a ``scipy.sparse.csr_matrix`` of shape
-        ``(num_users, num_items)`` with 1.0 at every (user, item) click
-        position (duplicates collapsed), bit-equal to
-        ``to_implicit_dense(...)`` under ``.toarray()`` at any scale that
-        still fits densely.
+        ``last`` keeps each row's trailing ``last`` clicks only; an
+        unknown user contributes an empty row.
         """
-        from scipy import sparse as sp
-
-        n_users = num_users if num_users is not None else (
-            int(self.users[-1]) + 1 if len(self.users) else 0)
-        click_users = self.click_users()
-        keep = click_users < n_users
-        keys = np.unique(click_users[keep] * np.int64(self.num_items)
-                         + self.item_ids[keep])
-        rows = keys // self.num_items
-        cols = keys % self.num_items
-        indptr = np.zeros(n_users + 1, dtype=np.int64)
-        if n_users:
-            np.cumsum(np.bincount(rows, minlength=n_users), out=indptr[1:])
-        return sp.csr_matrix((np.ones(len(cols)), cols, indptr),
-                             shape=(n_users, self.num_items))
+        starts, stops = self.row_bounds(users)
+        if last is not None:
+            starts = np.maximum(starts, stops - last)
+        lengths = stops - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return lengths, self.item_ids[np.arange(shift.size) + shift]
 
     # ------------------------------------------------------------------
     # Row-object interop (duck-typed like InteractionLog)
     # ------------------------------------------------------------------
-    def _row_slice(self, user: int) -> slice:
-        """CSR slice of ``user``'s clicks (empty slice if unknown)."""
-        i = int(np.searchsorted(self.users, user))
-        if i >= len(self.users) or int(self.users[i]) != int(user):
-            return slice(0, 0)
-        return slice(int(self.user_ptr[i]), int(self.user_ptr[i + 1]))
-
     @pure
     def sequence(self, user: int) -> List[int]:
         """The click sequence of ``user`` (empty list if unknown)."""
-        return self.item_ids[self._row_slice(user)].tolist()
+        return self.rows_of([user])[1].tolist()
 
     def __contains__(self, user: int) -> bool:
         i = int(np.searchsorted(self.users, user))

@@ -174,9 +174,10 @@ def _violates(spec: Tuple[str, ...], effect: Effect) -> bool:
     kind, name = effect.root
     if kind == "self" and name is not None:
         return name not in spec
-    # Mutation through a parameter (or the bare instance) is never
-    # covered by an attribute list; only "*" admits it.
-    return True
+    # Mutation through a parameter is covered only by a "param.attr"
+    # entry naming the attribute written; mutation of the bare instance
+    # only by "*".
+    return kind != "param" or f"{name}.{effect.attr}" not in spec
 
 
 def _describe_effect(effect: Effect) -> str:

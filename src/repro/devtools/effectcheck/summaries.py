@@ -9,7 +9,7 @@ function's fault-path facts: its escaping raise set, its ``try`` blocks
 with summarized handlers, its concurrency operations and the functions
 it hands to ``Process(target=...)``.  Summaries are first extracted
 intra-procedurally with local alias tracking (a write through
-``row = self.covisits[prev]`` is a write of ``covisits``), then
+``seq = self._sequences[user]`` is a write of ``_sequences``), then
 propagated bottom-up over the call graph to one fixed point, so callers
 inherit their callees' effects and escaping raises with the full call
 chain preserved.

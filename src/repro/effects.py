@@ -13,10 +13,13 @@ module provides the *declaration* half of that contract, mirroring
   stream draws.
 * ``@mutates("attr", ...)`` — the callable (including everything it
   transitively calls) writes at most the listed ``self`` attributes.
-  RNG draws count as mutation of the generator attribute, so a method
-  consuming ``self.rng`` must list ``"rng"``.  The single wildcard
-  ``@mutates("*")`` leaves the write set unconstrained (used where the
-  set is inherently subclass-defined, e.g. ``Ranker.restore``).
+  An entry ``"param.attr"`` admits writes to attribute ``attr`` of the
+  parameter ``param`` (``InteractionLog.splice`` counts itself on the
+  donor log it grafts in).  RNG draws count as mutation of the
+  generator attribute, so a method consuming ``self.rng`` must list
+  ``"rng"``.  The single wildcard ``@mutates("*")`` leaves the write
+  set unconstrained (used where the set is inherently subclass-defined,
+  e.g. ``Ranker.restore``).
 * ``@sanctioned_channel`` — marks an approved mutation entry point
   (``Tensor.assign_``, snapshot restore, ``splice``/``unsplice``,
   ``poison_revert``).  The static analyzer's REP009 rule flags
@@ -63,9 +66,10 @@ def pure(fn: _F) -> _F:
 def mutates(*attrs: str) -> Callable[[_F], _F]:
     """Declare the exact ``self`` attributes ``fn`` may write.
 
-    The declared set is an upper bound on the *transitive* write set
-    (callees' effects are inherited by callers).  ``mutates("*")``
-    declares an unconstrained write set.
+    A ``"param.attr"`` entry also admits writes to attribute ``attr``
+    of the parameter ``param``.  The declared set is an upper bound on
+    the *transitive* write set (callees' effects are inherited by
+    callers).  ``mutates("*")`` declares an unconstrained write set.
     """
     if not attrs:
         raise ValueError("mutates() needs at least one attribute name "

@@ -6,18 +6,19 @@ item.  For implicit feedback the reconstruction loss is *weighted* — the
 all-ones degenerate solution is avoided by giving unobserved entries a
 small positive weight (the WRMF-style confidence trick).
 
-The user-item matrix is never materialized: click profiles are stored as
-per-user item sets and densified per batch, so the model scales to the
+The user-item matrix is never materialized: click rows are read from
+the log's CSR view and densified per batch, so the model scales to the
 paper-size catalogs (a dense Phone-scale matrix would be gigabytes).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set
+from typing import Any
 
 import numpy as np
 
 from ..data.interactions import InteractionLog
+from ..data.sparse import SparseInteractions, as_sparse
 from ..effects import mutates, pure, sanctioned_channel
 from ..nn import Adam, Dense, Module, Tensor, shape_spec
 from ..nn import functional as F
@@ -56,46 +57,39 @@ class AutoRec(Ranker):
         self.negative_weight = negative_weight
         self.batch_size = batch_size
         self._build()
-        self._user_items: Dict[int, Set[int]] = {}
+        #: The fit log's CSR view: the click rows scoring encodes.
+        self._fit_view = SparseInteractions.from_log(
+            InteractionLog(num_items))
 
     def _build(self) -> None:
         self.net = _AutoRecNet(self.num_items, self.hidden, self.rng)
         self.optimizer = Adam(list(self.net.parameters()), lr=self.lr)
 
     # ------------------------------------------------------------------
-    def _profiles_from(self, log: InteractionLog) -> Dict[int, Set[int]]:
-        return {user: set(seq) for user, seq in log.iter_sequences()}
+    def _rows(self, view: SparseInteractions,
+              users: np.ndarray) -> np.ndarray:
+        """Densify ``users``' click rows of ``view`` (batch-sized only).
 
-    def _rows(self, users: np.ndarray) -> np.ndarray:
-        """Densify the click profiles of ``users`` (batch-sized only).
-
-        One fancy-index assignment over the batch's flattened profiles
-        instead of a per-user loop (assignment order is irrelevant — all
-        written cells become 1.0).
+        One fancy-index assignment over the batch's concatenated rows
+        (a repeated click writes the same 1.0); an unknown user's row
+        stays zero.
         """
         rows = np.zeros((len(users), self.num_items))
-        profiles = [self._user_items.get(int(user)) for user in users]
-        sizes = np.fromiter((len(p) if p else 0 for p in profiles),
-                            dtype=np.int64, count=len(profiles))
-        total = int(sizes.sum())
-        if total:
-            columns = np.fromiter(
-                (item for p in profiles if p for item in p),
-                dtype=np.int64, count=total)
-            rows[np.repeat(np.arange(len(users)), sizes), columns] = 1.0
+        lengths, columns = view.rows_of(users)
+        rows[np.repeat(np.arange(len(users)), lengths), columns] = 1.0
         return rows
 
-    def _train(self, user_ids: np.ndarray, epochs: int) -> None:
-        user_ids = np.asarray(
-            [u for u in user_ids if self._user_items.get(int(u))],
-            dtype=np.int64)
+    def _train(self, view: SparseInteractions, user_ids: np.ndarray,
+               epochs: int) -> None:
+        starts, stops = view.row_bounds(user_ids)
+        user_ids = user_ids[stops > starts]
         if len(user_ids) == 0:
             return
         for _ in range(epochs):
             order = self.rng.permutation(user_ids)
             for start in range(0, len(order), self.batch_size):
                 batch = order[start:start + self.batch_size]
-                x = self._rows(batch)
+                x = self._rows(view, batch)
                 weights = np.where(x > 0, 1.0, self.negative_weight)
                 self.optimizer.zero_grad()
                 recon = self.net(Tensor(x))
@@ -104,27 +98,25 @@ class AutoRec(Ranker):
                 self.optimizer.step()
 
     # ------------------------------------------------------------------
-    @mutates("rng", "net", "optimizer", "_user_items")
+    @mutates("rng", "net", "optimizer", "_fit_view")
     def fit(self, log: InteractionLog) -> None:
         self.rng = np.random.default_rng(self.seed)
         self._build()
-        self._user_items = self._profiles_from(log)
-        self._train(np.fromiter(self._user_items, dtype=np.int64),
-                    self.epochs)
+        self._fit_view = as_sparse(log)
+        self._train(self._fit_view, self._fit_view.users, self.epochs)
 
-    @mutates("rng", "net", "optimizer", "_user_items")
+    @mutates("rng", "net", "optimizer")
     def poison_update(self, log: InteractionLog,
                       poison: InteractionLog) -> None:
-        self._user_items = self._profiles_from(log)
+        # Poison and replay rows both come from the merged log's view.
+        view = as_sparse(log)
         poison_rows = np.asarray(poison.users, dtype=np.int64)
-        replay_pool = np.asarray(
-            [u for u in self._user_items if u not in poison],
-            dtype=np.int64)
+        replay_pool = view.users[~np.isin(view.users, poison_rows)]
         replay = self.rng.choice(
             replay_pool,
             size=min(len(replay_pool), 4 * max(len(poison_rows), 16)),
             replace=False) if len(replay_pool) else replay_pool
-        self._train(np.concatenate([poison_rows, replay]),
+        self._train(view, np.concatenate([poison_rows, replay]),
                     self.update_epochs)
 
     # ------------------------------------------------------------------
@@ -135,7 +127,8 @@ class AutoRec(Ranker):
         bit-identical rows (see :func:`~repro.recsys.base.gemm_pad`).
         """
         padded, n = gemm_pad(np.asarray(users))
-        return self.net(Tensor(self._rows(padded))).numpy()[:n]
+        return self.net(
+            Tensor(self._rows(self._fit_view, padded))).numpy()[:n]
 
     @pure
     @shape_spec("_, (C,) -> (C,)")
@@ -167,7 +160,8 @@ class AutoRec(Ranker):
         scores = np.empty(candidates.shape)
         for block in batch_slices(len(users), _SCORE_CHUNK_USERS):
             padded, n = gemm_pad(users[block])
-            hidden = self.net.encoder(Tensor(self._rows(padded))).numpy()[:n]
+            hidden = self.net.encoder(
+                Tensor(self._rows(self._fit_view, padded))).numpy()[:n]
             block_cands = candidates[block]
             out = scores[block]
             for col in range(block_cands.shape[1]):
@@ -178,12 +172,10 @@ class AutoRec(Ranker):
         return scores
 
     def _state(self) -> Any:
-        return {"params": [p.data for p in self.net.parameters()],
-                "profiles": self._user_items}
+        return [p.data for p in self.net.parameters()]
 
     @sanctioned_channel
     def _set_state(self, state: Any) -> None:
-        for param, data in zip(self.net.parameters(), state["params"]):
+        for param, data in zip(self.net.parameters(), state):
             param.assign_(data, copy=False)
-        self._user_items = state["profiles"]
         self.optimizer = Adam(list(self.net.parameters()), lr=self.lr)

@@ -10,7 +10,6 @@ selection and the poison/retrain loop; rankers only implement ``fit`` /
 from __future__ import annotations
 
 import abc
-import copy
 from typing import Any, ClassVar, Iterator, Optional
 
 import numpy as np
@@ -124,19 +123,14 @@ class Ranker(abc.ABC):
 
     @mutates("*")
     @sanctioned_channel
-    def restore(self, state: Any) -> None:
-        """Restore a state captured by :meth:`snapshot`.
+    def restore(self, snapshot: RankerSnapshot) -> None:
+        """Restore a snapshot captured by :meth:`snapshot`.
 
-        Snapshot restores are copy-on-write: frozen arrays are copied in
-        place into the live buffers (no allocation).  Raw states (the
-        pre-snapshot legacy form: whatever ``_state`` returned) are still
-        accepted and deep-copied defensively.
+        Copy-on-write: frozen arrays are copied in place into the live
+        buffers (no allocation), and the RNG stream is rewound.
         """
-        if isinstance(state, RankerSnapshot):
-            self._set_state(thaw_into(state.state, self._state()))
-            self.rng.bit_generator.state = state.rng_state
-        else:
-            self._set_state(copy.deepcopy(state))
+        self._set_state(thaw_into(snapshot.state, self._state()))
+        self.rng.bit_generator.state = snapshot.rng_state
 
     def _state(self) -> Any:
         raise NotImplementedError(
@@ -208,8 +202,8 @@ def sample_negatives(rng: np.random.Generator, positives: np.ndarray,
     every draw is re-rolled: 99% of uniform draws hit one on
     perfbench's 10^4-user ``retrain-10k`` log.  The result is then
     close to two uniform draws, not "an item this user has not
-    clicked".  ROADMAP item 3 replaces this sampler with the evaluator's
-    per-user one.
+    clicked".  The evaluator's per-user ``sample_eval_negatives`` is
+    the sampler meant to replace it.
     """
     negatives = rng.integers(0, num_items, size=count)
     mask = np.isin(negatives, positives)

@@ -5,16 +5,19 @@ edge in both directions.  A candidate item's score for a user aggregates
 the co-visitation counts between the candidate and the user's history,
 normalized by each history item's total co-visits (the "co-visitation
 rate").  This is the system ConsLOP is purpose-built to attack.
+
+The clean graph is a sparse item-by-item count matrix built once by
+``fit``; a poison's consecutive click pairs live beside it as a delta
+array, so a poison update appends to the delta and a revert drops it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict
-
 import numpy as np
+import scipy.sparse as sp
 
 from ..data.interactions import InteractionLog
+from ..data.sparse import as_sparse
 from ..effects import mutates, pure, sanctioned_channel
 from ..nn.spec import shape_spec
 from .base import Ranker, batch_slices
@@ -22,6 +25,14 @@ from .base import Ranker, batch_slices
 #: Users per block in the batched scorer; bounds the (history x
 #: candidate) query matrix to a few tens of MB per block.
 _SCORE_BLOCK_USERS = 2048
+
+
+def _edges(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Click pairs as ``(2, E)`` edge endpoints: both ways, no self-loops."""
+    keep = prev != nxt
+    prev, nxt = prev[keep], nxt[keep]
+    return np.stack([np.concatenate([prev, nxt]),
+                     np.concatenate([nxt, prev])])
 
 
 class CoVisitation(Ranker):
@@ -34,95 +45,62 @@ class CoVisitation(Ranker):
                  history_window: int = 20) -> None:
         super().__init__(num_users, num_items, seed)
         self.history_window = history_window
-        self.covisits: Dict[int, Dict[int, float]] = defaultdict(dict)
-        self.out_degree = np.zeros(num_items, dtype=np.float64)
-        self._histories: Dict[int, list] = {}
+        self.fit(InteractionLog(num_items))
 
     # ------------------------------------------------------------------
-    def _add_edges(self, log: InteractionLog) -> None:
-        for user, sequence in log.iter_sequences():
-            history = self._histories.setdefault(user, [])
-            prev = history[-1] if history else None
-            for item in sequence:
-                if prev is not None and prev != item:
-                    row = self.covisits[prev]
-                    row[item] = row.get(item, 0.0) + 1.0
-                    row_b = self.covisits[item]
-                    row_b[prev] = row_b.get(prev, 0.0) + 1.0
-                    self.out_degree[prev] += 1.0
-                    self.out_degree[item] += 1.0
-                history.append(item)
-                prev = item
-
-    @mutates("covisits", "out_degree", "_histories")
+    @mutates("_fit_view", "_graph", "out_degree", "_delta")
     def fit(self, log: InteractionLog) -> None:
-        self.covisits = defaultdict(dict)
-        self.out_degree = np.zeros(self.num_items, dtype=np.float64)
-        self._histories = {}
-        self._add_edges(log)
+        # Scoring reads histories from the fit log's CSR view.
+        self._fit_view = as_sparse(log)
+        src, dst = _edges(*self._fit_view.consecutive_pairs())
+        # Duplicate (src, dst) entries sum into float64 counts.
+        self._graph = sp.csr_matrix(
+            (np.ones(src.size), (src, dst)),
+            shape=(self.num_items, self.num_items))
+        self.out_degree = np.bincount(
+            src, minlength=self.num_items).astype(np.float64)
+        # The poisons' ``(prev, next)`` click pairs, self-transitions
+        # included; scoring turns them into edges as ``fit`` does.
+        self._delta = np.empty((2, 0), dtype=np.int64)
 
-    @mutates("covisits", "out_degree", "_histories")
+    @mutates("_delta")
     def poison_update(self, log: InteractionLog,
                       poison: InteractionLog) -> None:
         # Edges are additive; only the poison sequences add new ones.
-        self._add_edges(poison)
+        self._delta = np.concatenate(
+            [self._delta, self._poison_pairs(poison)], axis=1)
 
-    @mutates("covisits", "out_degree", "_histories")
+    @mutates("_delta")
     @sanctioned_channel
     def poison_revert(self, poison: InteractionLog) -> None:
         """Exactly undo :meth:`poison_update` for the same ``poison`` log.
 
-        Replays the edge walk of :meth:`_add_edges` in reverse: each
-        co-visit weight is decremented by the same 1.0 it was incremented
-        by (bit-exact for float64 counts), emptied rows and zeroed
-        entries are deleted so the dict structure matches the clean
-        graph, and the appended history suffix is trimmed (dropping the
-        whole entry for users the poison created).
+        The update appended ``poison``'s click pairs to the delta and
+        wrote nothing else, so dropping them restores the state before.
         """
-        for user, sequence in poison.iter_sequences():
-            history = self._histories.get(user, [])
-            start = len(history) - len(sequence)
-            prev = history[start - 1] if start > 0 else None
-            for item in sequence:
-                if prev is not None and prev != item:
-                    self._remove_edge(prev, item)
-                prev = item
-            if start <= 0:
-                # The poison walk created this history via setdefault.
-                self._histories.pop(user, None)
-            else:
-                del history[start:]
+        kept = self._delta.shape[1] - self._poison_pairs(poison).shape[1]
+        self._delta = self._delta[:, :kept]
 
-    def _remove_edge(self, a: int, b: int) -> None:
-        """Decrement one bidirectional co-visit edge added by the poison."""
-        for src, dst in ((a, b), (b, a)):
-            row = self.covisits[src]
-            weight = row[dst] - 1.0
-            if weight <= 0.0:
-                del row[dst]
-            else:
-                row[dst] = weight
-            if not row:
-                del self.covisits[src]
-            self.out_degree[src] -= 1.0
+    def _poison_pairs(self, poison: InteractionLog) -> np.ndarray:
+        """``poison``'s consecutive click pairs, as a ``(2, P)`` array.
+
+        A user of the fit log continues its clean history: its first
+        poison click pairs with its last clean one.
+        """
+        view = as_sparse(poison)
+        prev, nxt = view.consecutive_pairs()
+        starts, stops = self._fit_view.row_bounds(view.users)
+        linked = (stops > starts) & (view.lengths > 0)
+        return np.stack([
+            np.concatenate([self._fit_view.item_ids[stops[linked] - 1], prev]),
+            np.concatenate([view.item_ids[view.user_ptr[:-1][linked]], nxt])])
 
     # ------------------------------------------------------------------
     @pure
     @shape_spec("_, (C,) -> (C,)")
     def score(self, user: int, item_ids: np.ndarray) -> np.ndarray:
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        history = self._histories.get(user, [])[-self.history_window:]
-        scores = np.zeros(len(item_ids), dtype=np.float64)
-        if not history:
-            return scores
-        index = {int(item): pos for pos, item in enumerate(item_ids)}
-        for h in history:
-            degree = max(self.out_degree[h], 1.0)
-            for neighbor, weight in self.covisits.get(h, {}).items():
-                pos = index.get(neighbor)
-                if pos is not None:
-                    scores[pos] += weight / degree
-        return scores
+        return self.score_batch(np.asarray([user]), item_ids[None, :])[0]
 
     @pure
     @shape_spec("(B,), (B, C) -> (B, C)")
@@ -130,15 +108,17 @@ class CoVisitation(Ranker):
                     candidates: np.ndarray) -> np.ndarray:
         """All users x candidates in one gather-reduce pass per block.
 
-        The per-user loop walks every history item's full neighbor dict;
-        this override instead scatters the block's adjacency rows into a
-        reusable dense weight table (a chunk of history items at a time)
-        and resolves every (history item, candidate) pair with one fancy
-        gather — no per-query search at all.  Accumulation runs over the
-        flat (history position, candidate) order of the serial loop and
-        ``np.add.at`` is unbuffered, so the result is bit-equal to
-        stacking :meth:`score` — including the duplicate-candidate
-        corner where only a row's last occurrence of an item scores.
+        A candidate's score sums, over the user's last
+        ``history_window`` clicks in order, the co-visit weight between
+        click and candidate over the click's degree (at least 1).  Each
+        block realizes its history items' adjacency rows as a dense
+        weight table (a chunk of items at a time) and resolves every
+        (history item, candidate) pair with one fancy gather.  Weights
+        and degrees are integer-valued float64 counts, so the clean
+        graph plus the delta sums exactly in any order; the quotients
+        accumulate in history order with the unbuffered ``np.add.at``,
+        and when a row repeats a candidate only its last occurrence
+        scores.
         """
         candidates = np.asarray(candidates, dtype=np.int64)
         scores = np.zeros(candidates.shape, dtype=np.float64)
@@ -149,48 +129,35 @@ class CoVisitation(Ranker):
     def _score_block(self, users: np.ndarray, candidates: np.ndarray,
                      out: np.ndarray) -> None:
         """Accumulate one user block's scores into ``out`` (a view)."""
-        windows = [self._histories.get(int(u), [])[-self.history_window:]
-                   for u in users]
-        lengths = np.fromiter((len(w) for w in windows), dtype=np.int64,
-                              count=len(windows))
-        total = int(lengths.sum())
+        lengths, history = self._fit_view.rows_of(users,
+                                                   last=self.history_window)
+        total = history.size
         if total == 0:
             return
-        history = np.fromiter((h for w in windows for h in w),
-                              dtype=np.int64, count=total)
         rows = np.repeat(np.arange(len(users)), lengths)
         num_candidates = candidates.shape[1]
+        src, dst = _edges(*self._delta)
 
         # Per-occurrence contributions in flat (occurrence, candidate)
         # order: realize a chunk of distinct history items as dense
-        # weight rows, gather each occurrence's candidate weights, then
-        # un-scatter so the table can be reused without re-zeroing.
+        # weight rows (clean rows plus the delta's edges), then gather
+        # each occurrence's candidate weights.
         uniq, uniq_index = np.unique(history, return_inverse=True)
         occ_order = np.argsort(uniq_index, kind="stable")
         sorted_uniq_index = uniq_index[occ_order]
         chunk = max(1, (1 << 21) // max(self.num_items, 1))
-        table = np.zeros((min(chunk, len(uniq)), self.num_items),
-                         dtype=np.float64)
         contrib = np.zeros((total, num_candidates), dtype=np.float64)
         for base in range(0, len(uniq), chunk):
-            stop = min(base + chunk, len(uniq))
-            filled = []
-            for j in range(base, stop):
-                row = self.covisits.get(int(uniq[j]))
-                if not row:
-                    continue
-                neighbors = np.fromiter(row.keys(), dtype=np.int64,
-                                        count=len(row))
-                table[j - base, neighbors] = np.fromiter(
-                    row.values(), dtype=np.float64, count=len(row))
-                filled.append((j - base, neighbors))
-            lo, hi = np.searchsorted(sorted_uniq_index, (base, stop))
+            items = uniq[base:base + chunk]
+            table = self._graph[items].toarray()
+            slot = np.minimum(np.searchsorted(items, src), len(items) - 1)
+            hit = items[slot] == src
+            np.add.at(table, (slot[hit], dst[hit]), 1.0)
+            lo, hi = np.searchsorted(sorted_uniq_index,
+                                     (base, base + len(items)))
             occ = occ_order[lo:hi]
-            if occ.size and filled:
-                contrib[occ] = table[(uniq_index[occ] - base)[:, None],
-                                     candidates[rows[occ]]]
-            for local, neighbors in filled:
-                table[local, neighbors] = 0.0
+            contrib[occ] = table[(uniq_index[occ] - base)[:, None],
+                                 candidates[rows[occ]]]
 
         flat = contrib.ravel()
         idx = np.flatnonzero(flat)
@@ -201,10 +168,9 @@ class CoVisitation(Ranker):
         # the (history item, candidate) adjacency hits.
         hit_rows = rows[idx // num_candidates]
         hit_cols = idx % num_candidates
-        # Serial score() indexes candidates through a dict, so when a row
-        # repeats an item only its last occurrence accumulates.  Mark the
-        # per-row last occurrence of every candidate value (stable sort
-        # keeps columns ascending within each (row, value) group).
+        # Only a row's last occurrence of a candidate value scores.
+        # Mark it (stable sort keeps columns ascending within each
+        # (row, value) group).
         position_keys = (np.arange(len(users))[:, None]
                          * np.int64(self.num_items) + candidates).ravel()
         order = np.argsort(position_keys, kind="stable")
@@ -218,16 +184,14 @@ class CoVisitation(Ranker):
         idx = idx[keep]
         if idx.size == 0:
             return
-        degrees = np.maximum(self.out_degree[history[idx // num_candidates]],
-                             1.0)
+        degree = self.out_degree + np.bincount(src, minlength=self.num_items)
+        degrees = np.maximum(degree[history[idx // num_candidates]], 1.0)
         contributions = flat[idx] / degrees
         np.add.at(out, (hit_rows[keep], hit_cols[keep]), contributions)
 
-    def _state(self) -> tuple:
-        return (self.covisits, self.out_degree, self._histories)
+    def _state(self) -> np.ndarray:
+        return self._delta
 
     @sanctioned_channel
-    def _set_state(self, state: tuple) -> None:
-        self.covisits, self.out_degree, self._histories = state
-        if not isinstance(self.covisits, defaultdict):
-            self.covisits = defaultdict(dict, self.covisits)
+    def _set_state(self, state: np.ndarray) -> None:
+        self._delta = state

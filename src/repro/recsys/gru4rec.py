@@ -9,12 +9,12 @@ matters.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any
 
 import numpy as np
 
 from ..data.interactions import InteractionLog
-from ..data.sparse import as_sparse
+from ..data.sparse import SparseInteractions, as_sparse
 from ..effects import mutates, pure, sanctioned_channel
 from ..nn import Adam, Embedding, GRUCell, Module, Tensor, shape_spec
 from ..nn import functional as F
@@ -69,47 +69,45 @@ class GRU4Rec(Ranker):
         self.update_lr = update_lr
         self.batch_size = batch_size
         self._build()
-        self._histories: dict[int, List[int]] = {}
+        #: The fit log's CSR view: the histories scoring and replay read.
+        self._fit_view = SparseInteractions.from_log(
+            InteractionLog(num_items))
 
     def _build(self) -> None:
         self.net = _GRU4RecNet(self.num_items, self.dim, self.rng)
         self.optimizer = Adam(list(self.net.parameters()), lr=self.lr)
 
     # ------------------------------------------------------------------
-    def _window_for(self, sequence: List[int]) -> np.ndarray:
-        """Left-padded fixed-width window over the end of ``sequence``."""
-        tail = sequence[-self.window:]
-        padding = [self.net.pad_id] * (self.window - len(tail))
-        return np.asarray(padding + tail, dtype=np.int64)
+    def _windows(self, item_ids: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray) -> np.ndarray:
+        """Left-padded fixed-width windows over ``item_ids[starts:ends]``.
+
+        Row ``i`` holds the last ``window`` clicks before position
+        ``ends[i]`` that lie at or after ``starts[i]`` (its user's row
+        start), right-aligned behind pad ids.
+        """
+        gather = ends[:, None] + np.arange(-self.window, 0)
+        if item_ids.size == 0:
+            return np.full(gather.shape, self.net.pad_id, dtype=np.int64)
+        safe = np.clip(gather, 0, item_ids.size - 1)
+        return np.where(gather >= starts[:, None], item_ids[safe],
+                        self.net.pad_id)
 
     def _training_examples(self, log: InteractionLog) -> tuple:
         """(windows, targets): every prefix of each sequence predicts the
         next click, using a fixed-width left-padded window.
 
-        Built in one vectorized pass over the log's CSR view — for each
-        non-first click, the window gathers the ``window`` preceding
-        positions and left-pads entries that fall before the user's row
-        start.  Example order matches the old per-sequence loop
-        (ascending user, then click position), so training is
-        bit-identical to the row-object implementation.
+        Built in one vectorized pass over the log's CSR view.  Example
+        order is ascending user, then click position, the order of a
+        per-sequence loop.
         """
         view = as_sparse(log)
-        item_ids = view.item_ids
-        if item_ids.size == 0:
-            return (np.empty((0, self.window), np.int64),
-                    np.empty(0, np.int64))
         starts = np.repeat(view.user_ptr[:-1], view.lengths)
-        position = np.arange(item_ids.size)
+        position = np.arange(view.item_ids.size)
         predictable = position > starts
         target_pos = position[predictable]
-        if target_pos.size == 0:
-            return (np.empty((0, self.window), np.int64),
-                    np.empty(0, np.int64))
-        gather = target_pos[:, None] + np.arange(-self.window, 0)
-        in_row = gather >= starts[predictable][:, None]
-        safe = np.clip(gather, 0, item_ids.size - 1)
-        windows = np.where(in_row, item_ids[safe], self.net.pad_id)
-        return windows.astype(np.int64, copy=False), item_ids[target_pos]
+        return (self._windows(view.item_ids, starts[predictable], target_pos),
+                view.item_ids[target_pos])
 
     def _train(self, windows: np.ndarray, targets: np.ndarray,
                epochs: int) -> None:
@@ -130,39 +128,36 @@ class GRU4Rec(Ranker):
                 self.optimizer.step()
 
     # ------------------------------------------------------------------
-    @mutates("rng", "net", "optimizer", "_histories")
+    @mutates("rng", "net", "optimizer", "_fit_view")
     def fit(self, log: InteractionLog) -> None:
         self.rng = np.random.default_rng(self.seed)
         self._build()
-        self._histories = {u: seq for u, seq in log.iter_sequences()}
-        self._train(*self._training_examples(log), epochs=self.epochs)
+        self._fit_view = as_sparse(log)
+        self._train(*self._training_examples(self._fit_view),
+                    epochs=self.epochs)
 
-    @mutates("rng", "net", "optimizer", "_histories")
+    @mutates("rng", "net", "optimizer")
     def poison_update(self, log: InteractionLog,
                       poison: InteractionLog) -> None:
-        for user, seq in poison.iter_sequences():
-            self._histories.setdefault(user, [])
-            self._histories[user] = self._histories[user] + seq
         p_windows, p_targets = self._training_examples(poison)
-        # Replay a sample of clean windows so poisoning competes with the
+        # Replay a sample of clean windows (ascending fit-log rows with
+        # a next click to predict) so poisoning competes with the
         # organic signal, as in an online incremental retrain.
-        users = [u for u in self._histories
-                 if u not in poison and len(self._histories[u]) >= 2]
-        replay_users = self.rng.choice(
-            users, size=min(len(users), 4 * max(poison.num_users, 8)),
-            replace=False) if users else []
-        r_windows, r_targets = [], []
-        for user in replay_users:
-            sequence = self._histories[user]
-            t = int(self.rng.integers(1, len(sequence)))
-            r_windows.append(self._window_for(sequence[:t]))
-            r_targets.append(sequence[t])
-        if r_windows:
-            windows = np.concatenate([p_windows, np.stack(r_windows)])
-            targets = np.concatenate(
-                [p_targets, np.asarray(r_targets, dtype=np.int64)])
-        else:
-            windows, targets = p_windows, p_targets
+        view = self._fit_view
+        lengths = view.lengths
+        rows = np.flatnonzero((lengths >= 2)
+                              & ~np.isin(view.users, poison.users))
+        if len(rows):
+            rows = self.rng.choice(
+                rows, size=min(len(rows), 4 * max(poison.num_users, 8)),
+                replace=False)
+        starts = view.user_ptr[rows]
+        ends = starts + np.array(
+            [self.rng.integers(1, lengths[row]) for row in rows],
+            dtype=np.int64)
+        windows = np.concatenate(
+            [p_windows, self._windows(view.item_ids, starts, ends)])
+        targets = np.concatenate([p_targets, view.item_ids[ends]])
         self.optimizer = Adam(list(self.net.parameters()), lr=self.update_lr)
         self._train(windows, targets, epochs=self.update_epochs)
 
@@ -186,11 +181,10 @@ class GRU4Rec(Ranker):
         candidates = np.asarray(candidates)
         table = self.net.embedding.weight.numpy()
         scores = np.empty(candidates.shape)
+        view = self._fit_view
         for block in batch_slices(len(candidates), _SCORE_CHUNK_USERS):
-            windows = np.stack([
-                self._window_for(self._histories.get(int(u), []))
-                for u in users[block]])
-            padded, n = gemm_pad(windows)
+            starts, stops = view.row_bounds(users[block])
+            padded, n = gemm_pad(self._windows(view.item_ids, starts, stops))
             hidden = self.net.encode(padded).numpy()[:n]
             scores[block] = np.einsum("nd,ncd->nc", hidden,
                                       table[candidates[block]])
@@ -200,12 +194,10 @@ class GRU4Rec(Ranker):
         return self.net.embedding.weight.numpy()[:self.num_items].copy()
 
     def _state(self) -> Any:
-        return {"params": [p.data for p in self.net.parameters()],
-                "histories": self._histories}
+        return [p.data for p in self.net.parameters()]
 
     @sanctioned_channel
     def _set_state(self, state: Any) -> None:
-        for param, data in zip(self.net.parameters(), state["params"]):
+        for param, data in zip(self.net.parameters(), state):
             param.assign_(data, copy=False)
-        self._histories = state["histories"]
         self.optimizer = Adam(list(self.net.parameters()), lr=self.lr)

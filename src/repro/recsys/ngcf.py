@@ -188,13 +188,17 @@ class NGCF(Ranker):
         return self._final[self.num_users:].copy()
 
     def _state(self) -> Any:
+        adjacency = self._adjacency
         return {"params": [p.data for p in self.net.parameters()],
-                "adjacency": self._adjacency, "final": self._final}
+                "adjacency": [adjacency.data, adjacency.indices,
+                              adjacency.indptr],
+                "final": self._final}
 
     @sanctioned_channel
     def _set_state(self, state: Any) -> None:
         for param, data in zip(self.net.parameters(), state["params"]):
             param.assign_(data, copy=False)
-        self._adjacency = state["adjacency"]
+        self._adjacency = sp.csr_matrix(tuple(state["adjacency"]),
+                                        shape=self._adjacency.shape)
         self._final = state["final"]
         self.optimizer = Adam(list(self.net.parameters()), lr=self.lr)

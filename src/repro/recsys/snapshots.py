@@ -13,6 +13,12 @@ with a :class:`RankerSnapshot` that
   hot path — falling back to a fresh copy only when a buffer was
   replaced or resized.
 
+The state a ranker's ``_state()`` returns is therefore arrays in
+dict/list/tuple containers, plus immutable scalars (numbers, numpy
+scalars, strings, ``None``), which are shared rather than copied.  Any
+other leaf raises ``TypeError``: a ranker's interaction log lives in
+its CSR view (:mod:`repro.data.sparse`), never in its snapshot.
+
 A snapshot also captures the ranker's RNG stream.  ``poison_update``
 implementations consume ``ranker.rng`` (negative sampling, replay
 selection), so without the RNG in the snapshot each query's reward would
@@ -26,7 +32,7 @@ for the parametric rankers.
 
 from __future__ import annotations
 
-import copy
+import numbers
 from typing import Any
 
 import numpy as np
@@ -72,12 +78,26 @@ class RankerSnapshot:
         return f"RankerSnapshot({type(self.state).__name__})"
 
 
+#: Leaves a snapshot shares instead of copying: nothing can change them.
+_IMMUTABLE = (numbers.Number, np.generic, str, type(None))
+
+
+def _immutable(value: Any) -> Any:
+    """``value`` itself if it is an immutable scalar; else ``TypeError``."""
+    if isinstance(value, _IMMUTABLE):
+        return value
+    raise TypeError(
+        f"ranker state leaf of type {type(value).__name__} is neither an "
+        "ndarray nor an immutable scalar; keep state as arrays in "
+        "dict/list/tuple containers")
+
+
 def freeze(value: Any) -> Any:
-    """Deep-copy ``value``, marking every array leaf read-only.
+    """Copy ``value``, marking every array leaf read-only.
 
     The single copy made here is the *only* copy the snapshot lifecycle
     performs per array: ``thaw_into`` later writes the frozen data back
-    into live buffers without allocating.
+    into live buffers without allocating.  Scalar leaves are shared.
     """
     if isinstance(value, np.ndarray):
         frozen = value.copy()
@@ -85,11 +105,9 @@ def freeze(value: Any) -> Any:
         return frozen
     if isinstance(value, dict):
         return {key: freeze(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [freeze(item) for item in value]
-    if isinstance(value, tuple):
-        return tuple(freeze(item) for item in value)
-    return copy.deepcopy(value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(freeze(item) for item in value)
+    return _immutable(value)
 
 
 def thaw_into(saved: Any, live: Any) -> Any:
@@ -97,9 +115,8 @@ def thaw_into(saved: Any, live: Any) -> Any:
 
     Array leaves are copied in place into the matching ``live`` array
     when shape/dtype/writeability line up (zero allocation); any
-    structural drift falls back to a fresh writable copy.  Non-array
-    leaves are deep-copied, since rankers mutate them in place during
-    ``poison_update`` (e.g. co-visitation edge dicts).
+    structural drift falls back to a fresh writable copy.  Scalar
+    leaves are immutable and returned as they are.
     """
     if isinstance(saved, np.ndarray):
         if (isinstance(live, np.ndarray) and live.shape == saved.shape
@@ -111,19 +128,13 @@ def thaw_into(saved: Any, live: Any) -> Any:
         live_map = live if isinstance(live, dict) else {}
         return {key: thaw_into(item, live_map.get(key))
                 for key, item in saved.items()}
-    if isinstance(saved, list):
-        live_items = (live if isinstance(live, list)
-                      and len(live) == len(saved)
-                      else [None] * len(saved))
-        return [thaw_into(item, slot)
-                for item, slot in zip(saved, live_items)]
-    if isinstance(saved, tuple):
-        live_items = (live if isinstance(live, tuple)
+    if isinstance(saved, (list, tuple)):
+        live_items = (live if isinstance(live, (list, tuple))
                       and len(live) == len(saved)
                       else (None,) * len(saved))
-        return tuple(thaw_into(item, slot)
-                     for item, slot in zip(saved, live_items))
-    return copy.deepcopy(saved)
+        return type(saved)(thaw_into(item, slot)
+                           for item, slot in zip(saved, live_items))
+    return _immutable(saved)
 
 
 def states_equal(left: Any, right: Any) -> bool:

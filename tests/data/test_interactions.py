@@ -97,13 +97,6 @@ class TestInteractionLog:
     def test_pairs_empty(self):
         assert InteractionLog(3).pairs().shape == (0, 2)
 
-    def test_to_implicit_matrix(self):
-        log = InteractionLog(3)
-        log.add_sequence(1, [0, 2, 2])
-        matrix = log.to_implicit_matrix(num_users=3)
-        np.testing.assert_array_equal(matrix,
-                                      [[0, 0, 0], [1, 0, 1], [0, 0, 0]])
-
     def test_iter_sequences_sorted(self):
         log = InteractionLog(3)
         log.add(5, 0)

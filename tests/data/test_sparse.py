@@ -100,28 +100,24 @@ class TestBulkReads:
                 found = pos < keys.size and keys[pos] == key
                 assert found == ((user, item) in clicked)
 
-    def test_implicit_dense_matches_row_build(self):
-        log = make_log()
-        dense = sparse_view(log).to_implicit_dense()
-        expected = np.zeros_like(dense)
-        for user, seq in log.iter_sequences():
-            expected[user, seq] = 1.0
-        assert np.array_equal(dense, expected)
-
-    def test_implicit_csr_equals_dense(self):
+    def test_rows_of_matches_sequences(self):
         log = make_log()
         view = sparse_view(log)
-        assert np.array_equal(view.to_implicit_csr().toarray(),
-                              view.to_implicit_dense())
+        users = np.array([3, 0, 10_000, 3, 29, -1])
+        expected = [log.sequence(int(user)) for user in users]
+        for last in (None, 2):
+            rows = [seq if last is None else seq[-last:] for seq in expected]
+            lengths, items = view.rows_of(users, last=last)
+            assert lengths.tolist() == [len(row) for row in rows]
+            assert items.tolist() == [item for row in rows for item in row]
 
-    def test_implicit_matrix_user_cap(self):
-        log = make_log()
-        view = sparse_view(log)
-        capped = view.to_implicit_dense(num_users=5)
-        assert capped.shape == (5, log.num_items)
-        assert np.array_equal(capped, view.to_implicit_dense()[:5])
-        assert np.array_equal(view.to_implicit_csr(num_users=5).toarray(),
-                              capped)
+    def test_row_bounds_of_unknown_users_are_empty(self):
+        view = sparse_view(make_log())
+        starts, stops = view.row_bounds(np.array([10_000, -5]))
+        assert np.array_equal(starts, stops)
+        empty = SparseInteractions.from_log(InteractionLog(10))
+        lengths, items = empty.rows_of(np.array([0, 4]))
+        assert lengths.tolist() == [0, 0] and items.size == 0
 
 
 class TestCache:
@@ -170,8 +166,6 @@ class TestCache:
         view = sparse_view(log)
         assert np.array_equal(log.pairs(), view.pairs())
         assert np.array_equal(log.item_counts(), view.item_counts())
-        assert np.array_equal(log.to_implicit_matrix(),
-                              view.to_implicit_dense())
 
     def test_as_sparse_passthrough(self):
         log = make_log()
@@ -327,6 +321,48 @@ class TestSplicedView:
         host.add(5, 9)
         assert host.sequence(5) == [9]
         assert poison.sequence(5) == [7]
+
+    def test_donor_refuses_adds_while_spliced(self):
+        host = InteractionLog(10)
+        host.add_sequence(0, [2, 3])
+        poison = InteractionLog(10)
+        poison.add(5, 7)
+        host.splice(poison)
+        host_view = sparse_view(host)
+        with pytest.raises(ValueError, match="spliced into another"):
+            poison.add(5, 9)
+        with pytest.raises(ValueError, match="spliced into another"):
+            poison.add_sequence(6, [1, 2])
+        assert host.sequence(5) == [7]
+        assert poison.users == [5]
+        assert sparse_view(host) is host_view
+        assert host_view.item_ids.tolist() == [2, 3, 7]
+        # Detached, the donor takes adds again and the host is unmoved.
+        host.unsplice(poison)
+        poison.add(5, 9)
+        assert poison.sequence(5) == [7, 9]
+        assert 5 not in host
+        assert_same_arrays(sparse_view(host),
+                           SparseInteractions.from_log(host))
+
+    def test_donor_spliced_into_two_hosts(self):
+        first, second = InteractionLog(10), InteractionLog(10)
+        first.add(0, 1)
+        second.add(1, 2)
+        poison = InteractionLog(10)
+        poison.add(5, 7)
+        first.splice(poison)
+        second.splice(poison)
+        first.unsplice(poison)
+        with pytest.raises(ValueError, match="spliced into another"):
+            poison.add(5, 9)  # still attached to the second host
+        first.unsplice(poison)  # not attached there: changes nothing
+        with pytest.raises(ValueError, match="spliced into another"):
+            poison.add(5, 9)
+        second.unsplice(poison)
+        poison.add(5, 9)
+        assert poison.sequence(5) == [7, 9]
+        assert 5 not in first and 5 not in second
 
     def test_stacked_donors_stay_guarded(self):
         log = spaced_log()

@@ -182,6 +182,24 @@ class TestContracts:
         spec = index.find_spec(cls, "restore")
         assert spec is not None and "*" in spec
 
+    def test_parameter_attribute_entry_admits_only_that_write(
+            self, tmp_path):
+        # splice writes the donor's ``_hosts`` count; only its
+        # "other._hosts" entry admits that write through a parameter.
+        root = tmp_path / "repro"
+        shutil.copytree(SRC_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = root / "data" / "interactions.py"
+        text = path.read_text(encoding="utf-8")
+        doctored = text.replace(',\n             "other._hosts")', ")", 1)
+        assert doctored != text
+        path.write_text(doctored, encoding="utf-8")
+        _, _, diagnostics = analyze_package(root)
+        hits = [d for d in diagnostics if d.rule == "REP012"]
+        assert len(hits) == 1, [d.message for d in diagnostics]
+        assert "'InteractionLog.splice'" in hits[0].message
+        assert "parameter 'other'" in hits[0].message
+
     def test_protocol_methods_all_declared(self, clean_analysis):
         # The missing-contract half of REP012: every concrete ranker's
         # fit/score/poison_update/... must carry @pure or @mutates.

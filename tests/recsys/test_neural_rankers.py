@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import InteractionLog
+from repro.data import InteractionLog, sparse_view
 from repro.recsys import AutoRec, GRU4Rec, NGCF, NeuMF
 
 
@@ -82,22 +82,42 @@ class TestNeuralRankersCommon:
 class TestGRU4RecSpecifics:
     def test_window_left_padding(self):
         ranker = GRU4Rec(5, 10, seed=0, window=4, epochs=1)
-        window = ranker._window_for([7])
+        window = ranker._windows(np.array([7]), np.array([0]),
+                                 np.array([1]))[0]
         assert window.tolist() == [10, 10, 10, 7]  # pad id = num_items
 
     def test_window_truncates_to_tail(self):
         ranker = GRU4Rec(5, 10, seed=0, window=3, epochs=1)
-        window = ranker._window_for([1, 2, 3, 4, 5])
+        window = ranker._windows(np.array([1, 2, 3, 4, 5]), np.array([0]),
+                                 np.array([5]))[0]
         assert window.tolist() == [3, 4, 5]
 
-    def test_history_updated_by_poison(self):
+    def test_history_updated_by_poison(self, monkeypatch):
         log = clustered_log()
         ranker = GRU4Rec(30, 16, seed=0, **FAST[GRU4Rec])
         ranker.fit(log)
         poison = InteractionLog(16)
         poison.add_sequence(29, [3, 4])
+        trained = {}
+        monkeypatch.setattr(
+            ranker, "_train",
+            lambda windows, targets, epochs: trained.update(
+                windows=windows, targets=targets))
         ranker.poison_update(log.merged_with(poison), poison)
-        assert ranker._histories[29] == [3, 4]
+        # The poison's own example comes first: its click 3 predicts 4.
+        pad = ranker.net.pad_id
+        assert trained["windows"][0].tolist() == [pad] * 4 + [3]
+        assert trained["targets"][0] == 4
+        # Every other example replays a prefix of a clean user's history.
+        width = ranker.window
+        prefixes = {(tuple(seq[max(0, t - width):t]), seq[t])
+                    for _, seq in log.iter_sequences()
+                    for t in range(1, len(seq))}
+        assert len(trained["targets"]) > 1
+        for window, target in zip(trained["windows"][1:],
+                                  trained["targets"][1:]):
+            clicks = tuple(int(item) for item in window if item != pad)
+            assert (clicks, int(target)) in prefixes
 
     def test_item_embeddings_excludes_pad(self):
         ranker = GRU4Rec(5, 10, seed=0, dim=8, epochs=1)
@@ -112,19 +132,34 @@ class TestAutoRecSpecifics:
         recon = ranker._reconstruct(np.array([0]))[0]
         np.testing.assert_allclose(ranker.score(0, np.arange(16)), recon)
 
-    def test_profiles_rebuilt_on_poison(self):
+    def test_profiles_rebuilt_on_poison(self, monkeypatch):
         log = clustered_log()
         ranker = AutoRec(30, 16, seed=0, **FAST[AutoRec])
         ranker.fit(log)
         poison = InteractionLog(16)
         poison.add_sequence(29, [15])
+        batches = []
+        densify = ranker._rows
+
+        def recording(view, users):
+            rows = densify(view, users)
+            batches.append((np.asarray(users), rows))
+            return rows
+
+        monkeypatch.setattr(ranker, "_rows", recording)
         ranker.poison_update(log.merged_with(poison), poison)
-        assert 15 in ranker._user_items[29]
+        # The poison user trains on its merged-log row: exactly item 15.
+        poisoned = [rows[users == 29] for users, rows in batches
+                    if 29 in users]
+        assert len(poisoned) == FAST[AutoRec]["update_epochs"]
+        for row in poisoned:
+            assert row[0, 15] == 1.0 and row[0].sum() == 1.0
 
     def test_rows_densify_profiles(self):
         ranker = AutoRec(30, 16, seed=0, **FAST[AutoRec])
-        ranker._user_items = {3: {1, 5}}
-        rows = ranker._rows(np.array([3, 4]))
+        log = InteractionLog(16)
+        log.add_sequence(3, [1, 5, 1])
+        rows = ranker._rows(sparse_view(log), np.array([3, 4]))
         assert rows[0, 1] == 1.0 and rows[0, 5] == 1.0
         assert rows[0].sum() == 2.0
         assert rows[1].sum() == 0.0  # unknown user: empty profile
