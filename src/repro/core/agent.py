@@ -21,19 +21,19 @@ rewards as one batch, so the queries can be fanned out over a
 changing a single observed number (see :mod:`repro.perf`).
 
 Attaching a :class:`~repro.obs.run.RunTelemetry` to :attr:`PoisonRec.obs`
-traces the hot path (``train_step`` → ``sample`` / ``query_batch`` /
-``ppo_update``, with each query's ``query`` → restore / merge / retrain
-/ score spans added at the times they were measured, in-process or in a
-pool worker) and counts queries/retries/quarantines and phase seconds
-in the metrics registry.  Tracing reads the monotonic clock only, so an
-instrumented campaign's ``TrainResult.history`` is bit-identical to the
-untraced run.
+makes its tracer ambient for each training step, which traces the hot
+path (``train_step`` → ``sample`` / ``query_batch`` / ``ppo_update`` →
+``ppo_epoch`` → forward / backward / optim, with each query's ``query``
+→ restore / merge / retrain / score spans added at the times they were
+measured, in-process or in a pool worker), and counts
+queries/retries/quarantines and phase seconds in the metrics registry.
+Tracing reads the monotonic clock only, so an instrumented campaign's
+``TrainResult.history`` is bit-identical to the untraced run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -41,6 +41,7 @@ import numpy as np
 
 from ..effects import sanctioned_channel
 from ..nn.anomaly import AnomalyError, detect_anomaly
+from ..obs.trace import recording, traced
 from ..perf.pool import QueryOutcome, QueryPool, serial_outcome
 from ..recsys.system import BlackBoxEnvironment
 from ..runtime.checkpoint import PathLike, load_campaign, save_campaign
@@ -126,7 +127,7 @@ class PoisonRec:
         #: scheduler sets ``{"campaign": name}`` so fleet traces are
         #: attributable per campaign).
         self.obs_attrs: Dict[str, str] = {}
-        self._obs = obs
+        self.obs = obs
         if isinstance(action_space, str):
             action_space = make_action_space(
                 action_space, env.num_original_items, env.target_items,
@@ -145,29 +146,12 @@ class PoisonRec:
         self.result = TrainResult()
         self.reward_moments = RunningMoments()
         self._step = 0
-        self.trainer.tracer = obs.tracer if obs is not None else None
 
     # ------------------------------------------------------------------
     @property
     def step(self) -> int:
         """Completed training steps (continues across checkpoint resumes)."""
         return self._step
-
-    @property
-    def obs(self):
-        """The attached :class:`~repro.obs.run.RunTelemetry` (or None)."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        self.trainer.tracer = value.tracer if value is not None else None
-
-    def _span(self, name: str, **attrs):
-        """A traced span carrying :attr:`obs_attrs`, or a no-op context."""
-        if self._obs is None:
-            return nullcontext()
-        return self._obs.span(name, **self.obs_attrs, **attrs)
 
     def sample_attack(self) -> Rollout:
         """Sample one set of N trajectories from the current policy."""
@@ -256,7 +240,7 @@ class PoisonRec:
             return self.query_pool.attack_many(sets, retry=retry, rng=rng,
                                                sleep=sleep)
         return [serial_outcome(self.env.attack, trajectories, retry, rng,
-                               sleep, observe=self._obs is not None)
+                               sleep)
                 for trajectories in sets]
 
     def _record_queries(self, outcomes: List[QueryOutcome],
@@ -269,9 +253,9 @@ class PoisonRec:
         (a direct child of the ``query`` span) also feeds the
         ``agent.phase_seconds`` histogram.
         """
-        if self._obs is None:
+        if self.obs is None:
             return
-        metrics = self._obs.metrics
+        metrics = self.obs.metrics
         for index, outcome in enumerate(outcomes):
             metrics.counter("agent.queries", **self.obs_attrs).inc()
             if outcome.retries:
@@ -287,9 +271,9 @@ class PoisonRec:
                 if span.parent_id == root.span_id:
                     metrics.histogram("agent.phase_seconds", phase=span.name,
                                       **self.obs_attrs).observe(span.seconds)
-            self._obs.tracer.adopt(outcome.spans, parent_id=parent.span_id,
-                                   index=index, pooled=outcome.pooled,
-                                   **self.obs_attrs)
+            self.obs.tracer.adopt(outcome.spans, parent_id=parent.span_id,
+                                  index=index, pooled=outcome.pooled,
+                                  **self.obs_attrs)
 
     def train_step(self) -> StepStats:
         """One iteration of Algorithm 1's outer loop."""
@@ -300,12 +284,14 @@ class PoisonRec:
         experiences: List[Experience] = []
         retries = 0
         quarantined = 0
-        with self._span("train_step", step=self._step):
-            with self._span("sample", samples=cfg.samples_per_step):
+        labels = self.obs_attrs
+        with recording(self.obs), traced("train_step", **labels,
+                                         step=self._step):
+            with traced("sample", **labels, samples=cfg.samples_per_step):
                 rollouts = [self.sample_attack()
                             for _ in range(cfg.samples_per_step)]
-            with self._span("query_batch",
-                            samples=len(rollouts)) as batch_span:
+            with traced("query_batch", **labels,
+                        samples=len(rollouts)) as batch_span:
                 outcomes = self._query_batch(rollouts, state)
             self._record_queries(outcomes, batch_span)
             for rollout, outcome in zip(rollouts, outcomes):
@@ -324,7 +310,7 @@ class PoisonRec:
                 if reward > self.result.best_reward:
                     self.result.best_reward = reward
                     self.result.best_trajectories = rollout.trajectories()
-            with self._span("ppo_update", examples=len(experiences)):
+            with traced("ppo_update", **labels, examples=len(experiences)):
                 losses = (self.trainer.update(experiences,
                                               epochs=cfg.ppo_epochs,
                                               batch_size=cfg.batch_size)

@@ -9,7 +9,6 @@ the same (normalized) advantage.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from ..nn import Adam, Tensor
 from ..nn import functional as F
+from ..obs.trace import traced
 from .policy import PolicyNetwork, Rollout
 
 
@@ -55,15 +55,6 @@ class PPOTrainer:
         #: for ablation studies — raw RecNum advantages destabilize PPO.
         self.normalize = normalize
         self.rng = np.random.default_rng(seed)
-        #: Optional :class:`~repro.obs.trace.Tracer` wrapping each PPO
-        #: epoch in a ``ppo_epoch`` span (wired by the agent's ``obs``).
-        self.tracer = None
-
-    def _span(self, name: str, **attrs):
-        """A traced span, or a no-op context when tracing is off."""
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.span(name, **attrs)
 
     # ------------------------------------------------------------------
     def _flatten(self, experiences: Sequence[Experience]) -> tuple:
@@ -104,7 +95,7 @@ class PPOTrainer:
         # arrays are loop-invariant: flatten once, reuse every epoch.
         flat = None if subsample else self._flatten(list(experiences))
         for epoch in range(epochs):
-            with self._span("ppo_epoch", epoch=epoch):
+            with traced("ppo_epoch", epoch=epoch):
                 if subsample:
                     chosen = self.rng.choice(len(experiences),
                                              size=batch_size,
@@ -119,21 +110,28 @@ class PPOTrainer:
         return self._step(self._flatten(batch))
 
     def _step(self, flat: tuple) -> float:
-        """One clipped-surrogate gradient step over pre-flattened arrays."""
+        """One clipped-surrogate gradient step over pre-flattened arrays.
+
+        The step's three layers run as one ``forward``, ``backward`` and
+        ``optim`` span each.
+        """
         items, decisions, old_lp, mask, row_adv = flat
         if not np.any(row_adv):
             return 0.0  # zero-variance batch: no gradient signal
-        new_lp = self.policy.rollout_log_probs(items, decisions)
-        ratio = F.exp(new_lp - Tensor(old_lp))
-        advantage = Tensor(row_adv[:, None, None])
-        clipped = F.clip(ratio, 1.0 - self.clip_epsilon,
-                         1.0 + self.clip_epsilon)
-        objective = F.minimum(ratio * advantage, clipped * advantage)
-        mask_t = Tensor(mask)
-        denom = max(float(mask.sum()), 1.0)
-        loss = -(objective * mask_t).sum() * (1.0 / denom)
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.clip_grad_norm(self.grad_clip)
-        self.optimizer.step()
+        with traced("forward"):
+            new_lp = self.policy.rollout_log_probs(items, decisions)
+            ratio = F.exp(new_lp - Tensor(old_lp))
+            advantage = Tensor(row_adv[:, None, None])
+            clipped = F.clip(ratio, 1.0 - self.clip_epsilon,
+                             1.0 + self.clip_epsilon)
+            objective = F.minimum(ratio * advantage, clipped * advantage)
+            mask_t = Tensor(mask)
+            denom = max(float(mask.sum()), 1.0)
+            loss = -(objective * mask_t).sum() * (1.0 / denom)
+        with traced("backward"):
+            self.optimizer.zero_grad()
+            loss.backward()
+        with traced("optim"):
+            self.optimizer.clip_grad_norm(self.grad_clip)
+            self.optimizer.step()
         return float(loss.item())

@@ -12,8 +12,8 @@ CSR snapshot holding three contiguous arrays
 
 so ``item_ids[user_ptr[i]:user_ptr[i + 1]]`` is user ``users[i]``'s
 sequence.  Every bulk read the rankers need — ``pairs()``,
-``item_counts()``, last-n windows, consecutive click pairs, the rows of
-a batch of users — becomes a single vectorized pass over these arrays.
+``item_counts()``, consecutive click pairs, the rows of a batch of
+users — becomes a single vectorized pass over these arrays.
 
 Cache-invalidation contract
 ---------------------------
@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Iterator, List, Tuple
 import numpy as np
 
 from ..effects import pure
-from ..nn.spec import shape_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .interactions import InteractionLog
@@ -205,28 +204,6 @@ class SparseInteractions:
         first[starts[starts < self.item_ids.size]] = True
         nxt = np.flatnonzero(~first)
         return self.item_ids[nxt - 1], self.item_ids[nxt]
-
-    @pure
-    @shape_spec("_, _ -> ((U, W), (U, W))")
-    def last_n(self, n: int,
-               pad: int = -1) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-user trailing windows: ``(windows, mask)``, both ``(U, n)``.
-
-        ``windows[i]`` holds the last ``n`` clicks of ``users[i]``
-        right-aligned (shorter sequences are left-padded with ``pad``);
-        ``mask`` marks real entries.
-        """
-        if n <= 0:
-            raise ValueError("window size must be positive")
-        starts = self.user_ptr[:-1, None]
-        idx = self.user_ptr[1:, None] + np.arange(-n, 0)
-        mask = idx >= starts
-        if self.item_ids.size:
-            safe = np.clip(idx, 0, self.item_ids.size - 1)
-            windows = np.where(mask, self.item_ids[safe], pad)
-        else:
-            windows = np.full((self.num_users, n), pad, dtype=np.int64)
-        return windows, mask
 
     @pure
     def sorted_pair_keys(self) -> np.ndarray:

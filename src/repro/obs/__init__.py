@@ -5,9 +5,9 @@ The observability substrate for the attack/serve stack:
 * :class:`Tracer`/:class:`Span` — deterministic span tracing
   (sequential ids, monotonic clock only; provably no bit-exactness
   impact) over the attack hot path, PPO updates, scheduler slices and
-  pool dispatch.  :func:`collect_spans` opens a per-query scope that
-  :func:`traced` records the restore / merge / retrain / score phases
-  into, in-process or in a forked
+  pool dispatch.  :func:`traced` is the one span call: it records on
+  the ambient tracer — a run's, installed by :func:`recording`, or the
+  per-query scope of :func:`collect_spans`, in-process or in a forked
   :class:`~repro.perf.pool.QueryPool` worker.
 * :class:`MetricsRegistry` — labeled counters/gauges/histograms
   (queries, retries, quarantines, restarts, tier changes, per-phase
@@ -27,12 +27,13 @@ from .metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry)
 from .run import (OBS_FORMAT, OBS_VERSION, RunReplay, RunTelemetry,
                   load_run, phase_rollup)
-from .trace import Span, Tracer, collect_spans, traced
+from .trace import Span, Tracer, collect_spans, recording, traced
 
 __all__ = [
     "Span",
     "Tracer",
     "collect_spans",
+    "recording",
     "traced",
     "Counter",
     "Gauge",

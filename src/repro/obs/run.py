@@ -4,7 +4,9 @@
 scheduler, the agent and the pool all share for one run.  It owns
 
 * a :class:`~repro.obs.trace.Tracer` whose closed spans stream into the
-  log as ``{"obs": "span", ...}`` records,
+  log as ``{"obs": "span", ...}`` records; the holders handed the run
+  make it ambient with :func:`~repro.obs.trace.recording`, so their
+  :func:`~repro.obs.trace.traced` spans land on it,
 * a :class:`~repro.obs.metrics.MetricsRegistry` whose snapshots are
   flushed as ``{"obs": "metrics", ...}`` records (last snapshot wins on
   replay), and
@@ -68,10 +70,6 @@ class RunTelemetry:
         record = span.to_record()
         record["obs"] = "span"
         self._sink.append(record)
-
-    def span(self, name: str, **attrs):
-        """Open one traced span (see :meth:`.Tracer.span`)."""
-        return self.tracer.span(name, **attrs)
 
     def event(self, message: str, **attrs) -> None:
         """Record one narrator event (restart, tier change, drain...)."""

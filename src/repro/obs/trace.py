@@ -22,11 +22,11 @@ Closed spans are retained in :attr:`Tracer.spans` (for in-process
 rollups) and streamed to an optional ``sink`` callable (the
 :class:`~repro.obs.run.RunTelemetry` JSONL writer).
 
-Code deep in the query path (the recommender's restore / merge /
-retrain / score phases) records with :func:`traced`, which opens a span
-in the innermost :func:`collect_spans` scope of the calling context and
-is a no-op outside one — so ``attack(trajectories)`` keeps its
-signature and no wrapper has to forward a tracer.
+Code records with :func:`traced`, which opens a span on the tracer
+that is *ambient* in the calling context and is a no-op when none is:
+a run's tracer, made ambient by :func:`recording`, or a per-query
+scope opened by :func:`collect_spans`.  No signature carries a tracer
+and no wrapper has to forward one.
 """
 
 from __future__ import annotations
@@ -35,9 +35,13 @@ import time
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, ContextManager, Dict,
+                    Iterator, List, Optional, Sequence)
 
 from ..effects import pure
+
+if TYPE_CHECKING:
+    from .run import RunTelemetry
 
 
 @dataclass
@@ -204,23 +208,14 @@ class Tracer:
                 f"open={len(self._stack)})")
 
 
-#: The tracer of the innermost open :func:`collect_spans` scope.
+#: The ambient tracer: the innermost :func:`recording` or
+#: :func:`collect_spans` block's.
 _SCOPE: ContextVar[Optional[Tracer]] = ContextVar("repro_obs_scope",
                                                   default=None)
 
 
 @contextmanager
-def collect_spans(proc: str = "main") -> Iterator[Tracer]:
-    """Collect the :func:`traced` spans opened inside the block.
-
-    Yields a fresh sink-less :class:`Tracer` that is the current scope
-    until the block exits (the enclosing scope, if any, is restored).
-    Query executors open one around each query and return its closed
-    spans with the :class:`~repro.perf.pool.QueryOutcome`; in a forked
-    worker the scope is the worker's own object, never the parent's
-    :class:`~repro.obs.run.RunTelemetry` and its log file.
-    """
-    tracer = Tracer(proc=proc)
+def _install(tracer: Tracer) -> Iterator[Tracer]:
     token = _SCOPE.set(tracer)
     try:
         yield tracer
@@ -228,8 +223,32 @@ def collect_spans(proc: str = "main") -> Iterator[Tracer]:
         _SCOPE.reset(token)
 
 
-def traced(name: str, **attrs: Any):
-    """A span in the current :func:`collect_spans` scope, else a no-op."""
+def recording(run: Optional["RunTelemetry"]) -> ContextManager:
+    """Make ``run``'s tracer the ambient one for the enclosed block.
+
+    Every :func:`traced` span opened inside the block lands on the
+    run's tracer, parented under its innermost open span.  ``None``
+    does nothing.  The enclosing ambient tracer, if any, is restored
+    on exit.
+    """
+    return nullcontext() if run is None else _install(run.tracer)
+
+
+def collect_spans(proc: str = "main") -> ContextManager[Tracer]:
+    """Collect the :func:`traced` spans opened inside the block.
+
+    Installs and yields a fresh sink-less :class:`Tracer`, as
+    :func:`recording` installs a run's.  Query executors open one
+    around each query and return its closed spans with the
+    :class:`~repro.perf.pool.QueryOutcome`; in a forked worker the
+    scope is the worker's own object, never the parent's
+    :class:`~repro.obs.run.RunTelemetry` and its log file.
+    """
+    return _install(Tracer(proc=proc))
+
+
+def traced(name: str, **attrs: Any) -> ContextManager[Optional[Span]]:
+    """A span on the ambient tracer, else a no-op."""
     tracer = _SCOPE.get()
     if tracer is None:
         return nullcontext()

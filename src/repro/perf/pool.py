@@ -77,13 +77,13 @@ Observability
 Every worker runs each query as a ``query`` span inside its own
 :func:`~repro.obs.trace.collect_spans` scope, so the recommender's
 restore / merge / retrain / score phases nest under it, and ships the
-closed spans back with the reply; in-process queries do the same when
-the pool has telemetry.  The spans ride on the :class:`QueryOutcome`
-for the caller to add to its trace.  The pool's own counts (queries,
-busy seconds, crashes, stalls, serial fallbacks) live in one
-:class:`~repro.obs.metrics.MetricsRegistry` — the ``obs`` run's when
-one is given, a private one otherwise — and ``obs`` also wraps each
-batch in a ``pool.batch`` span.  Both stay in the parent.
+closed spans back with the reply; in-process queries do the same while
+a tracer is recording (see :func:`serial_outcome`).  The spans ride on
+the :class:`QueryOutcome` for the caller to add to its trace.  Each
+batch is a ``pool.batch`` span on the recording tracer.  The pool's own
+counts (queries, busy seconds, crashes, stalls, serial fallbacks) live
+in one :class:`~repro.obs.metrics.MetricsRegistry` — the ``obs`` run's
+when one is given, a private one otherwise.  Both stay in the parent.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ import multiprocessing
 import os
 import signal
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, List, Optional, Sequence
@@ -100,7 +99,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Span, collect_spans
+from ..obs.trace import _SCOPE, Span, collect_spans, traced
 from ..runtime.errors import (CorruptRewardError, RetriesExhaustedError,
                               TransientEnvironmentError)
 from ..runtime.faults import WorkerFaultPlan
@@ -148,13 +147,12 @@ class QueryOutcome:
 def serial_outcome(attack: Callable, trajectories,
                    retry: Optional[RetryPolicy] = None, rng=None,
                    sleep: Optional[Callable[[float], None]] = None,
-                   base_retries: int = 0,
-                   observe: bool = False) -> QueryOutcome:
+                   base_retries: int = 0) -> QueryOutcome:
     """Run one query in-process under the caller's retry policy.
 
-    With ``observe`` the query runs as a ``query`` span in its own
-    collecting scope, and the outcome carries the closed spans exactly
-    as a worker reply does.
+    While a tracer is recording, the query runs as a ``query`` span in
+    its own collecting scope, and the outcome carries the closed spans
+    exactly as a worker reply does; otherwise it runs untimed.
     """
     def attempt() -> float:
         reward = float(attack(trajectories))
@@ -177,9 +175,9 @@ def serial_outcome(attack: Callable, trajectories,
         return QueryOutcome(reward=outcome.value,
                             retries=base_retries + outcome.retries)
 
-    if not observe:
+    if _SCOPE.get() is None:
         return run()
-    with collect_spans() as scope, scope.span("query"):
+    with collect_spans() as scope, traced("query"):
         outcome = run()
     outcome.spans = scope.spans
     return outcome
@@ -212,6 +210,9 @@ def _worker_main(system, conn, slot: int) -> None:
     # leave Ctrl-C drains to the parent: in-flight queries finish.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # They also inherit the ambient tracer: a pool forks inside the
+    # agent's recording block, and that tracer writes the parent's log.
+    _SCOPE.set(None)
     while True:
         try:
             message = conn.recv()
@@ -227,7 +228,7 @@ def _worker_main(system, conn, slot: int) -> None:
                 time.sleep(directive[1])
         with collect_spans(f"worker-{slot}") as scope:
             try:
-                with scope.span("query"):
+                with traced("query"):
                     reward = float(system.attack(trajectories))
             except Exception as error:
                 conn.send((index, None, error, scope.spans))
@@ -265,9 +266,8 @@ class QueryPool:
         tests of the healing paths.  Ignored in serial mode (there are
         no workers to kill).
     obs:
-        Optional :class:`~repro.obs.run.RunTelemetry` of the run: the
-        pool counts into its metrics registry, traces ``pool.batch``
-        spans, and times in-process queries.  Never shipped to workers.
+        Optional :class:`~repro.obs.run.RunTelemetry` of the run, whose
+        metrics registry the pool counts into.
     """
 
     def __init__(self, system, workers: int = 1,
@@ -286,7 +286,6 @@ class QueryPool:
         self.crash_retries = crash_retries
         self.stall_timeout = stall_timeout
         self.chaos = chaos
-        self.obs = obs
         #: The one store of the pool's counts and busy seconds.
         self.metrics = obs.metrics if obs is not None else MetricsRegistry()
         # Fork is required: replicas are inherited copy-on-write, never
@@ -419,18 +418,11 @@ class QueryPool:
         """One in-process query (convenience; bypasses the workers)."""
         return float(self.system.attack(trajectories))
 
-    def _span(self, name: str, **attrs):
-        """A span on the run's tracer, or a no-op without telemetry."""
-        if self.obs is None:
-            return nullcontext()
-        return self.obs.span(name, **attrs)
-
     def _serial_outcome(self, trajectories, retry: Optional[RetryPolicy],
                         rng, sleep, base_retries: int = 0) -> QueryOutcome:
-        """One in-process query, timed when the pool has telemetry."""
+        """One in-process query (see :func:`serial_outcome`)."""
         return serial_outcome(self.system.attack, trajectories, retry, rng,
-                              sleep, base_retries=base_retries,
-                              observe=self.obs is not None)
+                              sleep, base_retries=base_retries)
 
     def attack_many(self, trajectory_sets: Sequence[Sequence[Sequence[int]]],
                     retry: Optional[RetryPolicy] = None,
@@ -451,14 +443,14 @@ class QueryPool:
             return []
         self._ensure_started()
         if not self.parallel or self.broken:
-            with self._span("pool.batch", batch=len(trajectory_sets),
-                            tier="serial"):
+            with traced("pool.batch", batch=len(trajectory_sets),
+                        tier="serial"):
                 outcomes = [self._serial_outcome(trajectories, retry, rng,
                                                  sleep)
                             for trajectories in trajectory_sets]
         else:
-            with self._span("pool.batch", batch=len(trajectory_sets),
-                            tier=self.tier, workers=self.workers):
+            with traced("pool.batch", batch=len(trajectory_sets),
+                        tier=self.tier, workers=self.workers):
                 outcomes = self._attack_many_parallel(
                     trajectory_sets, retry, rng,
                     sleep if sleep is not None else time.sleep)

@@ -293,8 +293,8 @@ class RecommenderSystem:
         on to fan queries out across worker processes.
 
         The restore / merge / retrain / score phases are recorded as
-        spans into the caller's :func:`~repro.obs.trace.collect_spans`
-        scope, if one is open.
+        :func:`~repro.obs.trace.traced` spans on the ambient tracer, if
+        any: the caller's :func:`~repro.obs.trace.collect_spans` scope.
         """
         with traced("restore"):
             self.reset()

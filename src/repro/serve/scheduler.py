@@ -40,11 +40,11 @@ from __future__ import annotations
 import math
 import pathlib
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core import PoisonRec
+from ..obs.trace import recording, traced
 from ..perf.pool import QueryPool
 from ..runtime.checkpoint import load_campaign, save_campaign
 from ..runtime.errors import FailureBudgetExhausted
@@ -126,9 +126,10 @@ class CampaignScheduler:
     sleep:
         Injectable clock for retry backoff and restart delays.
     obs:
-        Optional :class:`~repro.obs.run.RunTelemetry`: traces scheduler
-        slices and pool dispatch, counts fleet metrics, and logs it all
-        to the crash-safe obs run log.  Wired through to every
+        Optional :class:`~repro.obs.run.RunTelemetry`: its tracer is
+        ambient for the whole of :meth:`run`, which traces scheduler
+        slices and pool dispatch; it counts fleet metrics, and logs it
+        all to the crash-safe obs run log.  Wired through to every
         campaign's agent and the shared pool; purely observational.
     """
 
@@ -253,17 +254,18 @@ class CampaignScheduler:
         if handle_signals:
             self.drain.install()
         try:
-            self._build_all()
-            while not self.drain.requested:
-                record = self._next_runnable()
-                if record is None:
-                    if self._await_backoff():
-                        continue
-                    break
-                self._run_slice(record)
-                self._note_tier()
-            if self.drain.requested:
-                self._drain_all()
+            with recording(self.obs):
+                self._build_all()
+                while not self.drain.requested:
+                    record = self._next_runnable()
+                    if record is None:
+                        if self._await_backoff():
+                            continue
+                        break
+                    self._run_slice(record)
+                    self._note_tier()
+                if self.drain.requested:
+                    self._drain_all()
         finally:
             self._pool.close()
             if handle_signals:
@@ -331,12 +333,6 @@ class CampaignScheduler:
             "retries": sum(s.retries for s in history),
             "quarantined": sum(s.quarantined for s in history)})
 
-    def _slice_span(self, record: CampaignRecord, steps: int):
-        if self.obs is None:
-            return nullcontext()
-        return self.obs.span("slice", campaign=record.spec.name,
-                             steps=steps, tier=self._pool.tier)
-
     def _run_slice(self, record: CampaignRecord) -> None:
         spec = record.spec
         record.status = CampaignStatus.RUNNING
@@ -353,7 +349,8 @@ class CampaignScheduler:
                 raise DrainRequested()
 
         try:
-            with self._slice_span(record, steps):
+            with traced("slice", campaign=spec.name, steps=steps,
+                        tier=self._pool.tier):
                 agent.train(steps, callback=callback,
                             resilience=self._resilience(record, steps))
         except DrainRequested:

@@ -71,22 +71,6 @@ class TestBulkReads:
         prev, nxt = view.consecutive_pairs()
         assert sorted(zip(prev.tolist(), nxt.tolist())) == sorted(expected)
 
-    def test_last_n_windows(self):
-        log = make_log()
-        view = sparse_view(log)
-        windows, mask = view.last_n(4, pad=-1)
-        assert windows.shape == (view.num_users, 4)
-        for i, user in enumerate(view.users):
-            tail = log.sequence(int(user))[-4:]
-            padded = [-1] * (4 - len(tail)) + tail
-            assert windows[i].tolist() == padded
-            assert mask[i].tolist() == [False] * (4 - len(tail)) + \
-                [True] * len(tail)
-
-    def test_last_n_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sparse_view(make_log()).last_n(0)
-
     def test_sorted_pair_keys_membership(self):
         log = make_log()
         view = sparse_view(log)

@@ -79,7 +79,7 @@ run = RunTelemetry(sys.argv[1])
 run.metrics.counter("spans").inc(0)
 step = 0
 while True:
-    with run.span("step", index=step):
+    with run.tracer.span("step", index=step):
         run.metrics.counter("spans").inc()
     if step % 10 == 0:
         run.flush_metrics()

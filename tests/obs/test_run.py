@@ -14,8 +14,8 @@ from repro.runtime.errors import CorruptCheckpointError
 
 def record_run(path=None):
     run = RunTelemetry(path)
-    with run.span("train_step", step=0):
-        with run.span("query_batch"):
+    with run.tracer.span("train_step", step=0):
+        with run.tracer.span("query_batch"):
             run.tracer.add("restore", start=1.0, end=1.25,
                            proc="worker-0")
     run.event("fleet degraded to reduced tier")

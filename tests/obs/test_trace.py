@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 from repro.obs import Tracer, phase_rollup
 from repro.obs.trace import Span
+
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 class FakeClock:
@@ -104,3 +109,22 @@ def test_phase_rollup_accumulates_by_path():
     assert rollup["step/query"]["seconds"] == 2.0
     still_open = Span(name="open", span_id=99, parent_id=None, start=0.0)
     assert "open" not in phase_rollup(tracer.spans + [still_open])
+
+
+def test_spans_open_only_through_traced():
+    """Outside ``repro.obs`` every span opens through ``traced(...)``.
+
+    A ``.span(`` call elsewhere in the package would be a second way to
+    open a span, with a tracer passed around by hand.
+    """
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if PACKAGE / "obs" in path.parents:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "span"):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []

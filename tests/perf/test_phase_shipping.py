@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core import PoisonRec, PoisonRecConfig
-from repro.obs import (RunTelemetry, collect_spans, load_run, traced,
-                       write_chrome_trace)
+from repro.obs import (RunTelemetry, collect_spans, load_run, recording,
+                       traced, write_chrome_trace)
 from repro.perf import QueryPool
 from repro.runtime import FaultPlan, FaultyEnvironment
 
@@ -121,7 +121,8 @@ class TestSerialTier:
         env = make_env()
         run = RunTelemetry()
         pool = QueryPool(env, workers=1, obs=run)
-        outcomes = pool.attack_many(env_batch(env, 4))
+        with recording(run):
+            outcomes = pool.attack_many(env_batch(env, 4))
         for outcome in outcomes:
             assert not outcome.pooled
             assert outcome.seconds > 0.0

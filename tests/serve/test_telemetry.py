@@ -177,3 +177,21 @@ class TestResumedFleetTable:
             parent = spans_by_id[span.parent_id]
             assert parent.name == "slice"
             assert parent.attrs["campaign"] == span.attrs["campaign"]
+        # A PPO epoch takes a gradient step exactly when its step's
+        # rewards varied; such an epoch holds one forward, backward and
+        # optim span, in order, and any other epoch holds none.
+        epochs = [span for span in obs.tracer.spans
+                  if span.name == "ppo_epoch"]
+        stepped = 0
+        for epoch in epochs:
+            step = spans_by_id[spans_by_id[epoch.parent_id].parent_id]
+            record = result.records[step.attrs["campaign"]]
+            stats = record.agent.result.history[step.attrs["step"]]
+            children = [span.name for span in obs.tracer.spans
+                        if span.parent_id == epoch.span_id]
+            if stats.max_reward > stats.mean_reward:
+                stepped += 1
+                assert children == ["forward", "backward", "optim"]
+            else:
+                assert children == []
+        assert stepped > 0

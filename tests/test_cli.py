@@ -1,5 +1,7 @@
 """CLI smoke tests (argument parsing and fast subcommands)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -211,7 +213,12 @@ class TestObservabilityCommands:
                      "--ranker", "covisitation", "--method", "poisonrec",
                      "--steps", "2", "--workers", workers,
                      "--obs-log", str(log)]) == 0
-        capsys.readouterr()
+        # A step took PPO gradient steps exactly when its rewards varied
+        # (M=8 integer rewards: the mean then prints below the max).
+        varied = {int(step): float(mean) < float(top) for step, mean, top
+                  in re.findall(r"step\s+(\d+): mean=\s*(\S+) max=\s*(\S+)",
+                                capsys.readouterr().out)}
+        assert sorted(varied) == [0, 1]
         spans = load_run(log).spans
         by_id = {span.span_id: span for span in spans}
         queries = [span for span in spans if span.name == "query"]
@@ -226,3 +233,20 @@ class TestObservabilityCommands:
             for span in [query] + children:
                 parent = by_id[span.parent_id]
                 assert parent.start <= span.start <= span.end <= parent.end
+        # Every PPO epoch that took a gradient step holds exactly one
+        # forward, backward and optim span, in order and inside it; an
+        # epoch that took none holds nothing.
+        epochs = [span for span in spans if span.name == "ppo_epoch"]
+        assert epochs
+        for epoch in epochs:
+            update = by_id[epoch.parent_id]
+            assert update.name == "ppo_update"
+            step = by_id[update.parent_id].attrs["step"]
+            children = sorted((span for span in spans
+                               if span.parent_id == epoch.span_id),
+                              key=lambda span: span.span_id)
+            assert [span.name for span in children] == (
+                ["forward", "backward", "optim"] if varied[step] else [])
+            for span in children:
+                assert epoch.start <= span.start <= span.end <= epoch.end
+        assert any(varied.values())
