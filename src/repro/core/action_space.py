@@ -115,6 +115,17 @@ class ActionSpace(abc.ABC):
         decision mask.
         """
 
+    def prepare(self, decisions: Dict[str, np.ndarray]) -> Dict[str, object]:
+        """Decisions of a ``(batch, T)`` recompute, ready to recompute again.
+
+        A recompute slices every ``(batch, T, ...)`` array per time step
+        and indexes every tuple by it.  A space whose recompute derives
+        something from the decisions alone adds it here, one entry per
+        step, so the K epochs of a PPO update derive it once.  The
+        default adds nothing.
+        """
+        return decisions
+
     @abc.abstractmethod
     def item_distribution(self, dnn_out: np.ndarray,
                           features: np.ndarray) -> np.ndarray:
@@ -177,8 +188,9 @@ class BPlainActionSpace(ActionSpace):
     def sample_step(self, dnn_out: np.ndarray, features: np.ndarray,
                     rng: np.random.Generator) -> StepSample:
         batch = len(dnn_out)
-        set_logits = np.stack([dnn_out @ features[self.target_row],
-                               dnn_out @ features[self.original_row]], axis=1)
+        # One product with both set rows, as step_log_probs computes it:
+        # two matrix-vector products can round differently.
+        set_logits = dnn_out @ features[self.target_row:self.original_row + 1].T
         sides = _gumbel_argmax(rng, set_logits)  # 0 = targets, 1 = originals
         side_lp = _log_softmax_np(set_logits)[np.arange(batch), sides]
 
@@ -294,16 +306,30 @@ class TreeActionSpace(ActionSpace):
                           decisions={"parents": parents, "sides": sides},
                           log_probs=log_probs, mask=mask)
 
+    def choice_groups(self, parents: np.ndarray) -> F.ChoiceGroups:
+        """The recorded ``(batch, depth)`` walks' decisions, grouped by parent.
+
+        Padded levels point at the root so gathers stay in-bounds; the op
+        fills them from level 0, and the PPO mask zeroes their upstream
+        gradient.
+        """
+        safe = np.where(parents >= self.num_items, parents, self.tree.root)
+        return F.ChoiceGroups(safe, *self.tree.children(safe))
+
+    def prepare(self, decisions: Dict[str, np.ndarray]) -> Dict[str, object]:
+        parents = decisions["parents"]
+        groups = tuple(self.choice_groups(parents[:, t])
+                       for t in range(parents.shape[1]))
+        return {**decisions, "groups": groups}
+
     @shape_spec("(B, E), (R, E), _ -> (B, max_decisions)")
     def step_log_probs(self, dnn_out: Tensor, features: Tensor,
                        decisions: Dict[str, np.ndarray]) -> Tensor:
-        parents = decisions["parents"]
-        # Padded levels point at the root so gathers stay in-bounds; the
-        # PPO mask zeroes their upstream gradient.
-        safe = np.where(parents >= self.num_items, parents, self.tree.root)
-        left, right = self.tree.children(safe)
-        return F.binary_choice_log_probs(dnn_out, features, safe, left,
-                                         right, decisions["sides"])
+        groups = decisions.get("groups")
+        if groups is None:
+            groups = self.choice_groups(decisions["parents"])
+        return F.binary_choice_log_probs(dnn_out, features, groups,
+                                         decisions["sides"])
 
     def item_distribution(self, dnn_out: np.ndarray,
                           features: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ the sampling distribution of the attached action space.
 
 Rollouts use a pure-numpy forward pass (no gradients are needed while
 sampling); the PPO update recomputes decision log-probabilities through
-the autograd engine via :meth:`PolicyNetwork.rollout_log_probs`.
+the autograd engine via :meth:`PolicyNetwork.rollout_log_probs`.  Both
+run the LSTM through one per-step kernel: ``LSTMCell.step`` for the
+rollout, the fused ``F.lstm_sequence`` op for the recompute.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..nn import Embedding, LSTMCell, MLP, Module, Tensor, shape_spec, stack
+from ..nn import functional as F
 from .action_space import ActionSpace
 
 
@@ -78,20 +81,6 @@ class PolicyNetwork(Module):
     # ------------------------------------------------------------------
     # numpy fast path (rollout)
     # ------------------------------------------------------------------
-    def _np_lstm_step(self, x: np.ndarray, h: np.ndarray,
-                      c: np.ndarray) -> tuple:
-        weight = self.lstm.weight.data
-        bias = self.lstm.bias.data
-        gates = np.concatenate([x, h], axis=1) @ weight + bias
-        H = self.dim
-        i = 1.0 / (1.0 + np.exp(-gates[:, 0:H]))
-        f = 1.0 / (1.0 + np.exp(-gates[:, H:2 * H]))
-        g = np.tanh(gates[:, 2 * H:3 * H])
-        o = 1.0 / (1.0 + np.exp(-gates[:, 3 * H:4 * H]))
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        return h_new, c_new
-
     def _np_dnn(self, h: np.ndarray) -> np.ndarray:
         out = h
         for layer in self.dnn.layers:
@@ -120,7 +109,7 @@ class PolicyNetwork(Module):
         h = np.zeros((N, self.dim))
         c = np.zeros((N, self.dim))
         for t in range(trajectory_length):
-            h, c = self._np_lstm_step(x, h, c)
+            h, c = self.lstm.step(x, h, c)
             d_out = self._np_dnn(h)
             step = space.sample_step(d_out, features, rng)
             items[:, t] = step.items
@@ -142,27 +131,29 @@ class PolicyNetwork(Module):
     # ------------------------------------------------------------------
     @shape_spec("(B, T), _ -> (B, T, action_space.max_decisions)")
     def rollout_log_probs(self, items: np.ndarray,
-                          decisions: Dict[str, np.ndarray]) -> Tensor:
+                          decisions: Dict[str, object]) -> Tensor:
         """Log-probs of recorded decisions under the *current* parameters.
 
         ``items`` is ``(batch, T)`` where batch stacks attackers across
         training examples; attacker identity cycles with ``batch %
-        num_attackers`` (examples are stored attacker-major).  Returns a
-        ``(batch, T, D)`` tensor.
+        num_attackers`` (examples are stored attacker-major).
+        ``decisions`` holds ``(batch, T, ...)`` arrays, sliced per step,
+        and the per-step tuples :meth:`ActionSpace.prepare` may add.
+        Returns a ``(batch, T, D)`` tensor.
         """
         batch, T = items.shape
         user_ids = np.arange(batch) % self.num_attackers
-        x = self.user_embedding(user_ids)
-        h = Tensor(np.zeros((batch, self.dim)))
-        c = Tensor(np.zeros((batch, self.dim)))
+        # The LSTM reads the attacker's embedding, then each sampled item.
+        inputs = [self.user_embedding(user_ids)]
+        inputs.extend(self.features(items[:, t]) for t in range(T - 1))
+        hidden = F.lstm_sequence(inputs, self.lstm.weight, self.lstm.bias)
         per_step = []
         for t in range(T):
-            h, c = self.lstm(x, (h, c))
-            d_out = self.dnn(h)
-            step_decisions = {key: value[:, t]
+            d_out = self.dnn(hidden[:, t])
+            step_decisions = {key: value[t] if isinstance(value, tuple)
+                              else value[:, t]
                               for key, value in decisions.items()}
             lp = self.action_space.step_log_probs(d_out, self.features.weight,
                                                   step_decisions)
             per_step.append(lp)
-            x = self.features(items[:, t])
         return stack(per_step, axis=1)

@@ -81,6 +81,7 @@ class PPOTrainer:
                 [e.rollout.decisions[key] for e in experiences], axis=0)
         row_adv = np.repeat(advantages,
                             [e.rollout.num_attackers for e in experiences])
+        decisions = self.policy.action_space.prepare(decisions)
         return items, decisions, old_lp, mask, row_adv
 
     def update(self, experiences: Sequence[Experience], epochs: int = 3,

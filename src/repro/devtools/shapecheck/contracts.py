@@ -11,6 +11,7 @@ use and must match on every later use; a name that resolves to an
 from __future__ import annotations
 
 import re
+from types import ModuleType
 from typing import Dict, List, Optional, Tuple, Union
 
 from ...nn.spec import get_shape_spec
@@ -210,9 +211,15 @@ def _match_term(term: Term, value, env: Dict[str, int], instance,
     raise ContractError(f"unknown spec term {term!r} in {spec!r}")
 
 
-def _nearest_spec(cls: type, method_name: str) -> Optional[str]:
-    """The first ``@shape_spec`` on ``method_name`` along ``cls.__mro__``."""
-    for klass in cls.__mro__:
+def _nearest_spec(obj, method_name: str) -> Optional[str]:
+    """The ``@shape_spec`` binding ``obj.method_name``.
+
+    A module function's own spec, or the first one along
+    ``type(obj).__mro__``.
+    """
+    if isinstance(obj, ModuleType):
+        return get_shape_spec(getattr(obj, method_name))
+    for klass in type(obj).__mro__:
         fn = vars(klass).get(method_name)
         spec = None if fn is None else get_shape_spec(fn)
         if spec is not None:
@@ -225,6 +232,8 @@ def checked_call(obj, method_name: str, *args):
 
     The spec is the nearest one along ``type(obj).__mro__``, so a contract
     declared on a base class also binds an override that declares none.
+    ``obj`` may also be a module, to check one of its functions; no dim
+    name then resolves to an attribute.
     Argument terms are verified *before* the call — a mis-shaped input is
     reported against the declared contract instead of wherever the
     forward pass first trips over it — and the result term after, sharing
@@ -233,10 +242,12 @@ def checked_call(obj, method_name: str, *args):
     extra arguments are not.  Returns the call's result; raises
     :class:`ContractError` on violation.
     """
-    spec = _nearest_spec(type(obj), method_name)
+    spec = _nearest_spec(obj, method_name)
     if spec is None:
         return getattr(obj, method_name)(*args)
-    where = f"{type(obj).__name__}.{method_name}"
+    instance = None if isinstance(obj, ModuleType) else obj
+    owner = obj.__name__ if instance is None else type(obj).__name__
+    where = f"{owner}.{method_name}"
     arg_terms, result_terms = parse_spec(spec)
     if len(args) > len(arg_terms):
         raise ContractError(
@@ -244,12 +255,13 @@ def checked_call(obj, method_name: str, *args):
             f"{len(arg_terms)} terms")
     env: Dict[str, int] = {}
     for index, (term, value) in enumerate(zip(arg_terms, args)):
-        _match_term(term, value, env, obj, f"{where}: arg {index}", spec)
+        _match_term(term, value, env, instance, f"{where}: arg {index}",
+                    spec)
     result = getattr(obj, method_name)(*args)
     if len(result_terms) == 1:
-        _match_term(result_terms[0], result, env, obj,
+        _match_term(result_terms[0], result, env, instance,
                     f"{where}: result", spec)
     else:
-        _match_term(("tuple", result_terms), result, env, obj,
+        _match_term(("tuple", result_terms), result, env, instance,
                     f"{where}: result", spec)
     return result

@@ -33,6 +33,7 @@ from ...core.action_space import ACTION_SPACE_KINDS, make_action_space
 from ...core.policy import PolicyNetwork
 from ...data.interactions import InteractionLog
 from ...nn import GRU, GRUCell, LSTM, LSTMCell, MLP, Dense, Embedding, Tensor
+from ...nn import functional as F
 from ...recsys.autorec import _AutoRecNet
 from ...recsys.gru4rec import _GRU4RecNet
 from ...recsys.neumf import _NeuMFNet
@@ -99,6 +100,13 @@ def _check_lstm_cell(batch: int) -> None:
 def _check_lstm(batch: int) -> None:
     lstm = LSTM(5, 9, np.random.default_rng(0))
     checked_call(lstm, "__call__", [_floats(batch, 5) for _ in range(3)])
+
+
+def _check_lstm_sequence(batch: int) -> None:
+    # Unequal input and hidden widths: a transposed weight cannot pass.
+    cell = LSTMCell(5, 9, np.random.default_rng(0))
+    checked_call(F, "lstm_sequence", [_floats(batch, 5) for _ in range(3)],
+                 cell.weight, cell.bias)
 
 
 def _check_gru_cell(batch: int) -> None:
@@ -211,6 +219,7 @@ def build_checks() -> List[Tuple[str, Callable[[], None]]]:
         ("nn.Embedding", _check_embedding),
         ("nn.LSTMCell", _check_lstm_cell),
         ("nn.LSTM", _check_lstm),
+        ("nn.functional.lstm_sequence", _check_lstm_sequence),
         ("nn.GRUCell", _check_gru_cell),
         ("nn.GRU", _check_gru),
         ("recsys.neumf.net", _check_neumf_net),

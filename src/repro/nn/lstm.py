@@ -4,6 +4,8 @@ The paper's policy network embeds the variable-length attack trajectory
 with an LSTM (Equation 5); GRU4Rec uses a GRU over each user's session.
 Both cells operate on batches: inputs are ``(batch, dim)`` tensors and the
 sequence loop lives in the caller (or :class:`LSTM`/:class:`GRU` helpers).
+:func:`repro.nn.functional.lstm_sequence` runs a whole LSTM sequence as
+one graph node; the cell's graph is its test oracle.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ class LSTMCell(Module):
         o = F.sigmoid(gates[:, 3 * H:4 * H])
         c = f * c_prev + i * g
         h = o * F.tanh(c)
+        return h, c
+
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+        """One step on plain arrays, building no graph: the new ``(h, c)``.
+
+        This is the per-step kernel :func:`~repro.nn.functional.lstm_sequence`
+        runs, so a rollout sampled with it is bit-equal to that op's
+        recompute and to :meth:`__call__`.
+        """
+        h, c, *_ = F._lstm_step(x, h, c, self.weight.data, self.bias.data)
         return h, c
 
 

@@ -49,9 +49,8 @@ class TestRollout:
         rollout = policy.sample_rollout(6, rng)
         recomputed = policy.rollout_log_probs(rollout.items,
                                               rollout.decisions).numpy()
-        np.testing.assert_allclose(recomputed * rollout.mask,
-                                   rollout.log_probs * rollout.mask,
-                                   atol=1e-9)
+        taken = rollout.mask > 0
+        assert recomputed[taken].tobytes() == rollout.log_probs[taken].tobytes()
 
     def test_recompute_gradient_reaches_parameters(self, kind, rng):
         policy = make_policy(kind)
@@ -74,13 +73,13 @@ class TestDeterminism:
         """The numpy LSTM/DNN forward must agree with the autograd one."""
         policy = make_policy("plain")
         x = rng.normal(size=(3, 8))
-        h = np.zeros((3, 8))
-        c = np.zeros((3, 8))
-        h_np, c_np = policy._np_lstm_step(x, h, c)
+        h = rng.normal(size=(3, 8))
+        c = rng.normal(size=(3, 8))
+        h_np, c_np = policy.lstm.step(x, h, c)
         from repro.nn import Tensor
         h_t, c_t = policy.lstm(Tensor(x), (Tensor(h), Tensor(c)))
-        np.testing.assert_allclose(h_np, h_t.numpy(), atol=1e-12)
-        np.testing.assert_allclose(c_np, c_t.numpy(), atol=1e-12)
+        assert h_np.tobytes() == h_t.numpy().tobytes()
+        assert c_np.tobytes() == c_t.numpy().tobytes()
         d_np = policy._np_dnn(h_np)
         d_t = policy.dnn(h_t)
         np.testing.assert_allclose(d_np, d_t.numpy(), atol=1e-12)

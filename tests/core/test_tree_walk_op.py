@@ -149,10 +149,8 @@ def test_six_updates_match_oracle(monkeypatch, kind):
 
 def test_inconsistent_children_are_rejected():
     with pytest.raises(ValueError, match="same left and right children"):
-        F.binary_choice_log_probs(
-            Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))),
-            np.array([[9], [9]]), np.array([[0], [1]]), np.array([[2], [3]]),
-            np.array([[0], [1]]))
+        F.ChoiceGroups(np.array([[9], [9]]), np.array([[0], [1]]),
+                       np.array([[2], [3]]))
 
 
 def test_anomaly_mode_names_the_op(monkeypatch):

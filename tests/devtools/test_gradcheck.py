@@ -98,10 +98,32 @@ _TREE_INTERNAL_ROWS = np.linspace(-0.8, 0.9, 10).reshape(2, 5)
 _TREE_QUERY = np.linspace(0.6, -0.5, 15).reshape(3, 5)
 
 
+_TREE_GROUPS = F.ChoiceGroups(_TREE_PARENTS, _TREE_LEFT, _TREE_RIGHT)
+
+
 def _tree_walk(query: Tensor, table: Tensor) -> Tensor:
     return F.binary_choice_log_probs(
-        query, table, _TREE_PARENTS, _TREE_LEFT, _TREE_RIGHT,
-        _TREE_CHOICE) * Tensor(_TREE_MASK)
+        query, table, _TREE_GROUPS, _TREE_CHOICE) * Tensor(_TREE_MASK)
+
+
+#: An LSTM of input width 5 and hidden width 2 over three steps, for the
+#: fused sequence op: its weight is (7, 8) and its bias (8,).  Each of the
+#: three entries below checks the gradient of one of them.
+_LSTM_WEIGHT = np.linspace(-0.9, 0.8, 56).reshape(7, 8)
+_LSTM_BIAS = np.linspace(-0.3, 0.4, 8)
+_LSTM_UPSTREAM = np.linspace(-1.0, 1.5, 18).reshape(3, 3, 2)
+
+
+def _lstm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    inputs = [x, x * -0.7, x + 0.3]
+    return F.lstm_sequence(inputs, weight, bias) * Tensor(_LSTM_UPSTREAM)
+
+
+def _lstm_weight(x: Tensor) -> Tensor:
+    """The fixed weight plus ``x`` in two input rows and both hidden rows."""
+    spread = concatenate([x.reshape(1, 15), Tensor(np.zeros((1, 26))),
+                          x.reshape(1, 15) * 0.5], axis=1).reshape(7, 8)
+    return Tensor(_LSTM_WEIGHT) + spread
 
 
 #: One numeric gradient check per differentiable op of the engine — the
@@ -136,9 +158,17 @@ OP_GRADCHECKS = {
     # both of its gradient contributions must land.
     "binary_choice_log_probs_shared_child": lambda x: (
         F.binary_choice_log_probs(
-            Tensor(_TREE_QUERY[:2]), x, np.array([[5, 6], [6, 5]]),
-            np.array([[0, 1], [1, 0]]), np.array([[1, 2], [2, 1]]),
+            Tensor(_TREE_QUERY[:2]), x, F.ChoiceGroups(
+                np.array([[5, 6], [6, 5]]), np.array([[0, 1], [1, 0]]),
+                np.array([[1, 2], [2, 1]])),
             np.array([[1, 0], [1, 1]]))),
+    "lstm_sequence": lambda x: _lstm(x, Tensor(_LSTM_WEIGHT),
+                                     Tensor(_LSTM_BIAS)),
+    "lstm_sequence_weight": lambda x: _lstm(
+        Tensor(_TREE_QUERY), _lstm_weight(x), Tensor(_LSTM_BIAS)),
+    "lstm_sequence_bias": lambda x: _lstm(
+        Tensor(_TREE_QUERY), Tensor(_LSTM_WEIGHT),
+        Tensor(_LSTM_BIAS) + x.reshape(15)[3:11]),
     "concatenate": lambda x: concatenate([x, x * 2.0], axis=1),
     "stack": lambda x: stack([x, x * 0.5], axis=0),
     "add": lambda x: x + 1.5,

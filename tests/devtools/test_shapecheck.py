@@ -14,6 +14,7 @@ from repro.devtools.shapecheck import (ContractError, build_checks,
 from repro.devtools.shapecheck import cli as shapecheck_cli
 from repro.devtools.shapecheck.drivers import BATCH_SIZES
 from repro.nn import Dense, Tensor
+from repro.nn import functional as F
 from repro.nn.spec import SPEC_ATTRIBUTE, shape_spec
 
 
@@ -56,6 +57,17 @@ class TestContracts:
         out = checked_call(Thing(), "go", np.zeros(13))
         assert out.shape == (13,)
 
+    def test_module_function_contract(self):
+        weight = Tensor(np.zeros((14, 36)))
+        out = checked_call(F, "lstm_sequence",
+                           [Tensor(np.zeros((13, 5)))] * 2, weight,
+                           Tensor(np.zeros(36)))
+        assert out.shape == (13, 2, 9)
+        # A transposed weight: its width no longer matches the bias.
+        with pytest.raises(ContractError, match="'G' expected 14, got 36"):
+            checked_call(F, "lstm_sequence", [Tensor(np.zeros((13, 5)))],
+                         Tensor(np.zeros((36, 14))), Tensor(np.zeros(36)))
+
     def test_result_without_shape_rejected(self):
         class Thing:
             @shape_spec("(N,) -> (N,)")
@@ -71,11 +83,19 @@ def _iter_repo_specs():
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(info.name)
         for _, member in inspect.getmembers(module):
-            if inspect.isclass(member) and member.__module__ == info.name:
-                for _, fn in inspect.getmembers(member, inspect.isfunction):
-                    spec = getattr(fn, SPEC_ATTRIBUTE, None)
-                    if spec is not None:
-                        yield f"{info.name}.{member.__qualname__}", spec
+            if getattr(member, "__module__", None) != info.name:
+                continue
+            if inspect.isfunction(member):
+                functions = [member]
+            elif inspect.isclass(member):
+                functions = [fn for _, fn in inspect.getmembers(
+                    member, inspect.isfunction)]
+            else:
+                continue
+            for fn in functions:
+                spec = getattr(fn, SPEC_ATTRIBUTE, None)
+                if spec is not None:
+                    yield f"{info.name}.{fn.__qualname__}", spec
 
 
 def test_every_attached_spec_parses():
@@ -111,7 +131,7 @@ class TestCLIAndMutation:
             if not name.startswith("recsys.probe["):
                 seen[name] = set()
                 check()
-        assert len(seen) == 15
+        assert len(seen) == 16
         assert all(set(BATCH_SIZES) <= dims for dims in seen.values()), seen
 
     def test_cli_exit_zero_when_clean(self, capsys):

@@ -23,6 +23,7 @@ import repro
 from repro.core.policy import PolicyNetwork
 from repro.devtools.shapecheck import run_all
 from repro.nn import Dense, LSTMCell, Tensor
+from repro.nn import functional as F
 from repro.nn.spec import get_shape_spec, shape_spec
 from repro.recsys.autorec import _AutoRecNet
 from repro.recsys.itempop import ItemPop
@@ -50,11 +51,11 @@ def _frame(fn: Callable, text: str) -> str:
 
 DENSE_MATMUL = _frame(Dense.__call__, "x @ self.weight")
 LSTM_CONCAT = (LSTMCell.__call__, "combined = concatenate([x, h_prev]")
-LSTM_GATES = _frame(LSTMCell.__call__, "gates = combined @ self.weight")
+KERNEL_CONCAT = (F._lstm_step, "combined = np.concatenate([x, h]")
+KERNEL_GATES = _frame(F._lstm_step, "gates = combined @ weight")
 NEUMF_RESHAPE = (_NeuMFNet.logits, ".reshape(-1)")
 POLICY_USERS = (PolicyNetwork.rollout_log_probs, "% self.num_attackers")
-POLICY_LSTM = _frame(PolicyNetwork.rollout_log_probs,
-                     "h, c = self.lstm(x, (h, c))")
+POLICY_LSTM = _frame(PolicyNetwork.rollout_log_probs, "F.lstm_sequence(")
 POLICY_KINDS = ("plain", "bplain", "bcbt-popular", "bcbt-random")
 
 
@@ -136,11 +137,22 @@ def test_unspecced_override_keeps_base_contract(monkeypatch):
 
 
 def test_lstm_concat_on_wrong_axis(tmp_path):
+    # The policy runs the fused op's kernel, not the cell's graph.
     failures = _failures_in_doctored_copy(tmp_path, LSTM_CONCAT,
                                           "axis=1", "axis=0")
     concat = _frame(*LSTM_CONCAT)
-    expected: Expected = {"nn.LSTMCell": (concat,), "nn.LSTM": (concat,)}
-    expected.update({f"core.policy[{kind}]": (LSTM_GATES, POLICY_LSTM)
+    _assert_reported(failures, {"nn.LSTMCell": (concat,),
+                                "nn.LSTM": (concat,)})
+
+
+def test_lstm_kernel_concat_on_wrong_axis(tmp_path):
+    failures = _failures_in_doctored_copy(tmp_path, KERNEL_CONCAT,
+                                          "axis=1", "axis=0")
+    # The op's check has unequal widths, so numpy rejects the concat; the
+    # policy's equal widths stack the rows, and the gate matmul fails.
+    expected: Expected = {
+        "nn.functional.lstm_sequence": (_frame(*KERNEL_CONCAT),)}
+    expected.update({f"core.policy[{kind}]": (KERNEL_GATES, POLICY_LSTM)
                      for kind in POLICY_KINDS})
     _assert_reported(failures, expected)
 
@@ -157,6 +169,6 @@ def test_policy_user_ids_without_modulo(tmp_path):
     failures = _failures_in_doctored_copy(tmp_path, POLICY_USERS,
                                           " % self.num_attackers", "")
     users = _frame(PolicyNetwork.rollout_log_probs,
-                   "x = self.user_embedding(user_ids)")
+                   "self.user_embedding(user_ids)")
     _assert_reported(failures, {f"core.policy[{kind}]": (users,)
                                 for kind in POLICY_KINDS})
